@@ -181,8 +181,8 @@ tensor::Tensor plan_bench_forward(const tensor::Tensor& x,
                                   const tensor::Tensor& b,
                                   const tensor::Tensor& gamma,
                                   const tensor::Tensor& beta,
-                                  std::vector<float>& rm,
-                                  std::vector<float>& rv) {
+                                  tensor::Tensor& rm,
+                                  tensor::Tensor& rv) {
   tensor::Tensor y = tensor::conv2d(x, w, b, 1, 1);
   y = tensor::batch_norm2d(y, gamma, beta, rm, rv, false);
   return tensor::relu(y);
@@ -196,7 +196,8 @@ void BM_ConvBnReluEager(benchmark::State& state) {
   const auto b = tensor::Tensor::randn({8}, rng, 0.1f);
   const auto gamma = tensor::Tensor::full({8}, 1.0f);
   const auto beta = tensor::Tensor::full({8}, 0.0f);
-  std::vector<float> rm(8, 0.0f), rv(8, 1.0f);
+  auto rm = tensor::Tensor::zeros({8});
+  auto rv = tensor::Tensor::full({8}, 1.0f);
   tensor::NoGradGuard no_grad;
   for (auto _ : state) {
     auto y = plan_bench_forward(x, w, b, gamma, beta, rm, rv);
@@ -213,9 +214,10 @@ void BM_ConvBnReluPlanReplay(benchmark::State& state) {
   const auto b = tensor::Tensor::randn({8}, rng, 0.1f);
   const auto gamma = tensor::Tensor::full({8}, 1.0f);
   const auto beta = tensor::Tensor::full({8}, 0.0f);
-  std::vector<float> rm(8, 0.0f), rv(8, 1.0f);
+  auto rm = tensor::Tensor::zeros({8});
+  auto rv = tensor::Tensor::full({8}, 1.0f);
   tensor::NoGradGuard no_grad;
-  tensor::plan::PlanRuntime rt(true);
+  tensor::plan::PlanRuntime rt;
   auto fn = [&](const tensor::Tensor& c, const tensor::Tensor&) {
     return plan_bench_forward(c, w, b, gamma, beta, rm, rv);
   };

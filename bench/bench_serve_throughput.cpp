@@ -1,31 +1,27 @@
-// Serving throughput: dynamic batching + thread-pool scaling + the
-// arena-backed zero-allocation inference path.
+// Serving throughput: dynamic batching and thread-pool scaling on the
+// recorded-plan inference path.
 //
 // Drives an InferenceServer with concurrent client threads over generated
 // contest-style cases and reports latency percentiles and throughput as a
 // JSON perf record, comparing runtime thread counts (1 vs 8 by default).
 // On multi-core hosts the 8-thread configuration parallelizes the batched
 // forward over the pool; the record includes hardware_concurrency so
-// single-core results are interpretable.
+// single-core results are interpretable.  Every batch runs through
+// IrModel::predict, so each batch shape the coalescer forms records one
+// inference plan and replays it afterwards (docs/PLAN.md).
 //
-// The arena scenario runs the same workload with tensor arenas off and on
-// at the minimum and maximum thread counts, counting every global
-// operator-new call per phase, and then drives a deterministic
-// steady-state probe (1 thread, batch size 1, serial requests).  The
-// bench exits non-zero unless
-//   * every configuration (threads x arena) reproduces the serial
-//     reference predictions bitwise, and
-//   * after a two-pass warm-up the arena performs ZERO further heap
-//     allocations for tensor memory across the steady-state rounds.
-//
-// The plan scenario (docs/PLAN.md) repeats the workload with recorded
-// inference plans on top of the arena, then reruns the steady-state
-// probe in plan-replay mode.  Additional exit gates:
-//   * plan-on predictions reproduce the serial reference bitwise,
-//   * plan replay is also allocation-free in steady state, and
-//   * the replay path performs no MORE per-request global-allocation
-//     bookkeeping than the arena-only probe (fused kernels skip the
-//     eager graph machinery, so it is normally strictly less).
+// The bench exits non-zero unless
+//   * every thread-count configuration reproduces the serial eager
+//     reference (batch-1 forward, one thread) bitwise, and
+//   * a deterministic steady-state probe (1 thread, batch size 1, after
+//     each shape has recorded and replayed once) shows that replay
+//     allocates nothing per recorded step: counted by global operator
+//     new, every round of IrModel::predict replays makes the same number
+//     of allocations per request, fewer than the plan has steps.  The
+//     record carries that count (the replay output) next to the plan's
+//     step count, and the served per-request count of the same requests
+//     through a one-dispatcher server (stacked inputs, replay output, one
+//     owning map, promise and queue bookkeeping per request).
 //
 // Knobs (environment):
 //   LMMIR_BENCH_THREADS   comma list of pool sizes      (default "1,8")
@@ -45,12 +41,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "data/dataset.hpp"
 #include "data/sample.hpp"
 #include "gen/suite.hpp"
 #include "models/registry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/plan.hpp"
 #include "util/stopwatch.hpp"
 
@@ -94,6 +90,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace {
 
 using namespace lmmir;
+using tensor::Tensor;
 
 struct ConfigResult {
   std::size_t threads = 0;
@@ -101,71 +98,23 @@ struct ConfigResult {
   serve::ServerStats stats;
 };
 
-struct ArenaPhase {
-  std::size_t threads = 0;
-  bool arena = false;
-  bool plan = false;
-  double seconds = 0.0;
-  double throughput_rps = 0.0;
-  std::uint64_t global_allocs = 0;   // operator-new calls during the phase
-  double allocs_per_request = 0.0;
-  bool identical = true;             // predictions == serial reference
-  tensor::ArenaStats arena_stats;    // zeros when arena == false
-  tensor::plan::RuntimeStats plan_stats;  // zeros when plan == false
+/// A sample's request stacked to batch 1 exactly as the server stacks it.
+struct BatchOne {
+  Tensor circuit, tokens;
 };
 
-/// Drive `clients x requests_per_client` synchronous predictions against
-/// a fresh server; returns phase metrics and checks every prediction
-/// against the reference bitwise.
-ArenaPhase run_client_workload(
-    const std::shared_ptr<models::IrModel>& model,
-    const std::vector<data::Sample>& samples,
-    const std::vector<std::vector<float>>& reference, std::size_t threads,
-    bool arena, bool plan, std::size_t clients,
-    std::size_t requests_per_client) {
-  // The off phase must be arena-free end to end, including the pool
-  // workers' scratch arenas, or its allocation counts would be flattered.
-  runtime::set_global_threads(threads, tensor::worker_arena_init(arena));
-  serve::ServeOptions opts;
-  opts.max_batch = 8;
-  opts.max_wait_us = 1000;
-  opts.use_tensor_arena = arena;
-  opts.use_inference_plan = plan;
-  serve::InferenceServer server(model, opts);
-
-  std::atomic<bool> identical{true};
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
-  util::Stopwatch watch;
-  std::vector<std::thread> pool;
-  pool.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c)
-    pool.emplace_back([&, c] {
-      for (std::size_t r = 0; r < requests_per_client; ++r) {
-        const std::size_t si = (c + r) % samples.size();
-        const auto res =
-            server.predict(serve::request_from_sample(samples[si]));
-        if (res.map.data() != reference[si]) identical.store(false);
-      }
-    });
-  for (auto& t : pool) t.join();
-
-  ArenaPhase p;
-  p.threads = threads;
-  p.arena = arena;
-  p.plan = plan;
-  p.seconds = watch.seconds();
-  p.throughput_rps = server.stats().throughput_rps;
-  p.global_allocs =
-      g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  const std::size_t total = clients * requests_per_client;
-  p.allocs_per_request =
-      total ? static_cast<double>(p.global_allocs) / static_cast<double>(total)
-            : 0.0;
-  p.identical = identical.load();
-  p.arena_stats = server.arena_stats();
-  p.plan_stats = server.plan_stats();
-  return p;
+BatchOne batch_one(const models::IrModel& model, const data::Sample& s) {
+  const serve::PredictRequest req = serve::request_from_sample(s);
+  const auto& cs = req.circuit.shape();
+  BatchOne b;
+  b.circuit = data::slice_channels(
+      Tensor::from_data({1, cs[0], cs[1], cs[2]}, req.circuit.data()),
+      model.in_channels());
+  if (req.tokens.defined()) {
+    const auto& ts = req.tokens.shape();
+    b.tokens = Tensor::from_data({1, ts[0], ts[1]}, req.tokens.data());
+  }
+  return b;
 }
 
 void print_plan_stats_json(benchio::JsonRecord& rec,
@@ -174,18 +123,6 @@ void print_plan_stats_json(benchio::JsonRecord& rec,
       "{\"plans_recorded\": %zu, \"plans_unsupported\": %zu, "
       "\"replays\": %zu, \"eager_runs\": %zu}",
       s.plans_recorded, s.plans_unsupported, s.replays, s.eager_runs);
-}
-
-void print_arena_stats_json(benchio::JsonRecord& rec,
-                            const tensor::ArenaStats& s) {
-  rec.printf(
-      "{\"node_allocs\": %zu, \"node_reuses\": %zu, \"buffer_allocs\": %zu, "
-      "\"buffer_reuses\": %zu, \"scratch_allocs\": %zu, \"scratch_reuses\": "
-      "%zu, \"allocations_saved\": %zu, \"bytes_reserved\": %zu, "
-      "\"live_nodes\": %zu}",
-      s.node_allocs, s.node_reuses, s.buffer_allocs, s.buffer_reuses,
-      s.scratch_allocs, s.scratch_reuses, s.allocations_saved(),
-      s.bytes_reserved, s.live_nodes);
 }
 
 }  // namespace
@@ -205,7 +142,7 @@ int main() {
 
   // Record registry telemetry alongside the timings (instrument creation
   // happens on first touch, before the counted phases; recording itself
-  // never heap-allocates, so the alloc gates below are unaffected).
+  // never heap-allocates, so the allocation gate below is unaffected).
   obs::set_metrics_enabled(true);
 
   // Generated contest-style cases, featurized + golden-solved once.
@@ -226,22 +163,19 @@ int main() {
     std::fprintf(stderr, "bench_serve_throughput: %s\n", e.what());
     return 2;
   }
+  model->set_training(false);
 
-  // Reference predictions (serial, single-request, arena OFF) for every
-  // identity check below.
+  // Reference predictions for every identity check below: the eager
+  // forward, serial, one request at a time.
   runtime::set_global_threads(1);
   std::vector<std::vector<float>> reference;
-  {
-    serve::ServeOptions ref_opts;
-    ref_opts.max_batch = 1;
-    ref_opts.use_tensor_arena = false;
-    serve::InferenceServer ref_server(model, ref_opts);
-    for (const auto& s : samples)
-      reference.push_back(
-          ref_server.predict(serve::request_from_sample(s)).map.data());
+  for (const auto& s : samples) {
+    const BatchOne b = batch_one(*model, s);
+    tensor::NoGradGuard no_grad;
+    reference.push_back(model->forward(b.circuit, b.tokens).data());
   }
 
-  // ---- thread-scaling configs (arena on: the production default) ------
+  // ---- thread-scaling configs ------------------------------------------
   std::vector<ConfigResult> results;
   std::atomic<bool> identical{true};
   for (std::size_t threads : thread_cfgs) {
@@ -284,123 +218,65 @@ int main() {
   const double base_rps = min_cfg->stats.throughput_rps;
   const double peak_rps = max_cfg->stats.throughput_rps;
 
-  // ---- arena on-vs-off scenario (min and max thread counts) -----------
-  std::vector<ArenaPhase> arena_phases;
-  bool arena_identical = true;
-  for (std::size_t threads : {min_cfg->threads, max_cfg->threads}) {
-    for (bool arena : {false, true}) {
-      arena_phases.push_back(
-          run_client_workload(model, samples, reference, threads, arena,
-                              /*plan=*/false, clients, requests_per_client));
-      arena_identical = arena_identical && arena_phases.back().identical;
-    }
-    if (min_cfg->threads == max_cfg->threads) break;
-  }
-
-  // ---- plan scenario (recorded inference plans on top of the arena) ----
-  // Dynamic batching makes batch shape a runtime property, so each phase
-  // records one plan per distinct batch size it happens to form and
-  // replays the rest; the reference identity check is unchanged.
-  std::vector<ArenaPhase> plan_phases;
-  bool plan_identical = true;
-  for (std::size_t threads : {min_cfg->threads, max_cfg->threads}) {
-    plan_phases.push_back(
-        run_client_workload(model, samples, reference, threads, /*arena=*/true,
-                            /*plan=*/true, clients, requests_per_client));
-    plan_identical = plan_identical && plan_phases.back().identical;
-    if (min_cfg->threads == max_cfg->threads) break;
-  }
-
   // ---- deterministic steady-state probe --------------------------------
-  // 1 runtime thread, batch size 1, one dispatcher, serial requests: after
-  // the two-pass warm-up below (the second pass absorbs the mid-pass
-  // recycling shortfall — docs/TENSOR.md) the arena must perform zero
-  // further tensor heap allocations.
+  // 1 runtime thread, batch size 1.  A one-dispatcher server serves every
+  // sample twice (recording each batch-1 plan if the configs above formed
+  // no batch of one, then replaying it), and once more for the served
+  // count.  Then the rounds replay every sample through IrModel::predict
+  // directly, with nothing but the replay between the counter reads.
   runtime::set_global_threads(1);
-  std::uint64_t warm_heap = 0, steady_heap = 0;
-  std::uint64_t warm_global = 0, steady_global = 0;
-  std::size_t steady_requests = 0;
+  constexpr std::size_t kRounds = 4;
   bool steady_identical = true;
-  tensor::ArenaStats steady_stats;
+  bool steady_replayed = true;
+  std::uint64_t served_allocs = 0;
   {
     serve::ServeOptions opts;
     opts.max_batch = 1;
     opts.worker_threads = 1;
-    opts.use_tensor_arena = true;
     serve::InferenceServer server(model, opts);
-
-    const std::uint64_t g0 = g_alloc_count.load(std::memory_order_relaxed);
-    // Warm-up: two passes per shape.  The first pass creates the
-    // buffers; the second tops up the small inventory shortfall left by
-    // mid-pass recycling (see docs/TENSOR.md), after which the pools
-    // cover every subsequent pass exactly.
-    for (int round = 0; round < 2; ++round)
+    for (int warm = 0; warm < 2; ++warm)
       for (const auto& s : samples)
         server.predict(serve::request_from_sample(s));
-    warm_heap = server.arena_stats().heap_allocations();
-    warm_global = g_alloc_count.load(std::memory_order_relaxed) - g0;
-
-    const std::uint64_t g1 = g_alloc_count.load(std::memory_order_relaxed);
-    const std::size_t rounds = 3;
-    for (std::size_t round = 0; round < rounds; ++round)
-      for (std::size_t si = 0; si < samples.size(); ++si) {
-        const auto res =
-            server.predict(serve::request_from_sample(samples[si]));
-        if (res.map.data() != reference[si]) steady_identical = false;
-        ++steady_requests;
-      }
-    steady_stats = server.arena_stats();
-    steady_heap = steady_stats.heap_allocations();
-    steady_global = g_alloc_count.load(std::memory_order_relaxed) - g1;
-  }
-  runtime::set_global_threads(1);
-  const bool zero_steady_state = steady_heap == warm_heap;
-
-  // ---- plan-replay steady-state probe ----------------------------------
-  // Same deterministic shape as above, with recorded inference plans on:
-  // the first warm-up pass records one plan per sample shape (eager,
-  // allocation-heavy), the second settles the arena inventory, and the
-  // steady rounds must then be pure replay — zero further tensor heap
-  // allocations AND no more per-request global-allocation bookkeeping
-  // than the arena-only probe (replay skips the eager graph machinery).
-  std::uint64_t plan_warm_heap = 0, plan_steady_heap = 0;
-  std::uint64_t plan_warm_global = 0, plan_steady_global = 0;
-  std::size_t plan_steady_requests = 0;
-  bool plan_steady_identical = true;
-  tensor::ArenaStats plan_arena_stats;
-  tensor::plan::RuntimeStats plan_probe_stats;
-  {
-    serve::ServeOptions opts;
-    opts.max_batch = 1;
-    opts.worker_threads = 1;
-    opts.use_tensor_arena = true;
-    opts.use_inference_plan = true;
-    serve::InferenceServer server(model, opts);
-
+    const tensor::plan::RuntimeStats before = server.plan_stats();
     const std::uint64_t g0 = g_alloc_count.load(std::memory_order_relaxed);
-    for (int round = 0; round < 2; ++round)
-      for (const auto& s : samples)
-        server.predict(serve::request_from_sample(s));
-    plan_warm_heap = server.arena_stats().heap_allocations();
-    plan_warm_global = g_alloc_count.load(std::memory_order_relaxed) - g0;
-
-    const std::uint64_t g1 = g_alloc_count.load(std::memory_order_relaxed);
-    const std::size_t rounds = 3;
-    for (std::size_t round = 0; round < rounds; ++round)
-      for (std::size_t si = 0; si < samples.size(); ++si) {
-        const auto res =
-            server.predict(serve::request_from_sample(samples[si]));
-        if (res.map.data() != reference[si]) plan_steady_identical = false;
-        ++plan_steady_requests;
-      }
-    plan_arena_stats = server.arena_stats();
-    plan_steady_heap = plan_arena_stats.heap_allocations();
-    plan_steady_global = g_alloc_count.load(std::memory_order_relaxed) - g1;
-    plan_probe_stats = server.plan_stats();
+    for (std::size_t si = 0; si < samples.size(); ++si) {
+      const auto res = server.predict(serve::request_from_sample(samples[si]));
+      if (res.map.data() != reference[si]) steady_identical = false;
+    }
+    served_allocs = g_alloc_count.load(std::memory_order_relaxed) - g0;
+    steady_replayed = server.plan_stats().replays - before.replays ==
+                      samples.size();
   }
-  runtime::set_global_threads(1);
-  const bool zero_plan_steady_state = plan_steady_heap == plan_warm_heap;
-  const bool plan_fewer_bookkeeping = plan_steady_global <= steady_global;
+  std::vector<BatchOne> inputs;
+  for (const auto& s : samples) inputs.push_back(batch_one(*model, s));
+  std::vector<std::uint64_t> round_allocs;
+  const tensor::plan::RuntimeStats probe_before =
+      model->plan_runtime().stats();
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const std::uint64_t g0 = g_alloc_count.load(std::memory_order_relaxed);
+    for (std::size_t si = 0; si < inputs.size(); ++si) {
+      const Tensor pred = model->predict(inputs[si].circuit, inputs[si].tokens);
+      if (pred.data() != reference[si]) steady_identical = false;
+    }
+    round_allocs.push_back(g_alloc_count.load(std::memory_order_relaxed) - g0);
+  }
+  const tensor::plan::RuntimeStats probe_after = model->plan_runtime().stats();
+  steady_replayed = steady_replayed &&
+                    probe_after.replays - probe_before.replays ==
+                        kRounds * inputs.size() &&
+                    probe_after.eager_runs == probe_before.eager_runs;
+  const auto plan = model->plan_runtime().plan_for(inputs.front().circuit,
+                                                   inputs.front().tokens);
+  const std::size_t plan_steps =
+      plan && plan->supported() ? plan->live_steps() : 0;
+  const double per_request = static_cast<double>(round_allocs.front()) /
+                             static_cast<double>(inputs.size());
+  const double served_per_request =
+      static_cast<double>(served_allocs) / static_cast<double>(samples.size());
+  const bool steady_flat =
+      std::all_of(round_allocs.begin(), round_allocs.end(),
+                  [&](std::uint64_t a) { return a == round_allocs.front(); }) &&
+      per_request < static_cast<double>(plan_steps);
 
   benchio::JsonRecord rec;
   rec.printf("{\n");
@@ -426,81 +302,21 @@ int main() {
                 i + 1 < results.size() ? "," : "");
   }
   rec.printf("  ],\n");
-  rec.printf("  \"arena_scenario\": {\n");
-  rec.printf("    \"identical_on_vs_off\": %s,\n",
-              arena_identical ? "true" : "false");
-  rec.printf("    \"phases\": [\n");
-  for (std::size_t i = 0; i < arena_phases.size(); ++i) {
-    const auto& p = arena_phases[i];
-    rec.printf("      {\"threads\": %zu, \"arena\": %s, \"seconds\": %.4f, "
-                "\"throughput_rps\": %.2f, \"global_allocs\": %llu, "
-                "\"allocs_per_request\": %.1f, \"identical\": %s, "
-                "\"arena_stats\": ",
-                p.threads, p.arena ? "true" : "false", p.seconds,
-                p.throughput_rps,
-                static_cast<unsigned long long>(p.global_allocs),
-                p.allocs_per_request, p.identical ? "true" : "false");
-    print_arena_stats_json(rec, p.arena_stats);
-    rec.printf("}%s\n", i + 1 < arena_phases.size() ? "," : "");
-  }
-  rec.printf("    ],\n");
-  rec.printf("    \"steady_state\": {\"warmup_tensor_heap_allocs\": %llu, "
-              "\"steady_tensor_heap_allocs\": %llu, "
-              "\"steady_requests\": %zu, "
-              "\"warmup_global_allocs\": %llu, "
-              "\"steady_global_allocs\": %llu, "
-              "\"allocations_saved\": %zu, "
-              "\"zero_steady_state_tensor_allocations\": %s, "
-              "\"identical\": %s}\n",
-              static_cast<unsigned long long>(warm_heap),
-              static_cast<unsigned long long>(steady_heap),
-              steady_requests,
-              static_cast<unsigned long long>(warm_global),
-              static_cast<unsigned long long>(steady_global),
-              steady_stats.allocations_saved(),
-              zero_steady_state ? "true" : "false",
+  rec.printf("  \"steady_state\": {\"round_allocs\": [");
+  for (std::size_t i = 0; i < round_allocs.size(); ++i)
+    rec.printf("%s%llu", i ? ", " : "",
+               static_cast<unsigned long long>(round_allocs[i]));
+  rec.printf("], \"replay_allocs_per_request\": %.2f, "
+              "\"served_allocs_per_request\": %.2f, "
+              "\"plan_live_steps\": %zu, \"flat\": %s, "
+              "\"all_replayed\": %s, \"identical\": %s},\n",
+              per_request, served_per_request, plan_steps,
+              steady_flat ? "true" : "false",
+              steady_replayed ? "true" : "false",
               steady_identical ? "true" : "false");
-  rec.printf("  },\n");
-  rec.printf("  \"plan_scenario\": {\n");
-  rec.printf("    \"identical_plan_vs_reference\": %s,\n",
-              plan_identical ? "true" : "false");
-  rec.printf("    \"phases\": [\n");
-  for (std::size_t i = 0; i < plan_phases.size(); ++i) {
-    const auto& p = plan_phases[i];
-    rec.printf("      {\"threads\": %zu, \"arena\": %s, \"plan\": true, "
-                "\"seconds\": %.4f, \"throughput_rps\": %.2f, "
-                "\"global_allocs\": %llu, \"allocs_per_request\": %.1f, "
-                "\"identical\": %s, \"plan_stats\": ",
-                p.threads, p.arena ? "true" : "false", p.seconds,
-                p.throughput_rps,
-                static_cast<unsigned long long>(p.global_allocs),
-                p.allocs_per_request, p.identical ? "true" : "false");
-    print_plan_stats_json(rec, p.plan_stats);
-    rec.printf("}%s\n", i + 1 < plan_phases.size() ? "," : "");
-  }
-  rec.printf("    ],\n");
-  rec.printf("    \"steady_state\": {\"warmup_tensor_heap_allocs\": %llu, "
-              "\"steady_tensor_heap_allocs\": %llu, "
-              "\"steady_requests\": %zu, "
-              "\"warmup_global_allocs\": %llu, "
-              "\"steady_global_allocs\": %llu, "
-              "\"arena_only_steady_global_allocs\": %llu, "
-              "\"zero_steady_state_tensor_allocations\": %s, "
-              "\"fewer_bookkeeping_than_arena_only\": %s, "
-              "\"identical\": %s, "
-              "\"plan_stats\": ",
-              static_cast<unsigned long long>(plan_warm_heap),
-              static_cast<unsigned long long>(plan_steady_heap),
-              plan_steady_requests,
-              static_cast<unsigned long long>(plan_warm_global),
-              static_cast<unsigned long long>(plan_steady_global),
-              static_cast<unsigned long long>(steady_global),
-              zero_plan_steady_state ? "true" : "false",
-              plan_fewer_bookkeeping ? "true" : "false",
-              plan_steady_identical ? "true" : "false");
-  print_plan_stats_json(rec, plan_probe_stats);
-  rec.printf("}\n");
-  rec.printf("  },\n");
+  rec.printf("  \"plan_stats\": ");
+  print_plan_stats_json(rec, probe_after);
+  rec.printf(",\n");
   rec.printf("  \"speedup_max_vs_min_threads\": %.3f,\n",
               base_rps > 0.0 ? peak_rps / base_rps : 0.0);
   rec.printf("  \"metrics\": %s\n", benchio::metrics_snapshot().c_str());
@@ -508,46 +324,24 @@ int main() {
   std::fputs(rec.text().c_str(), stdout);
   benchio::append_history("serve_throughput", rec.text());
 
-
-  if (!identical.load()) {
-    std::fprintf(stderr, "FAIL: batched predictions diverged from the "
-                         "sequential reference\n");
-    return 1;
-  }
-  if (!arena_identical || !steady_identical) {
-    std::fprintf(stderr, "FAIL: arena-on predictions diverged from the "
-                         "arena-off reference\n");
-    return 1;
-  }
-  if (!zero_steady_state) {
-    std::fprintf(stderr,
-                 "FAIL: arena mode still allocated tensor memory in steady "
-                 "state (%llu warm-up -> %llu steady)\n",
-                 static_cast<unsigned long long>(warm_heap),
-                 static_cast<unsigned long long>(steady_heap));
-    return 1;
-  }
-  if (!plan_identical || !plan_steady_identical) {
-    std::fprintf(stderr, "FAIL: plan-replay predictions diverged from the "
+  if (!identical.load() || !steady_identical) {
+    std::fprintf(stderr, "FAIL: served predictions diverged from the serial "
                          "eager reference\n");
     return 1;
   }
-  if (!zero_plan_steady_state) {
-    std::fprintf(stderr,
-                 "FAIL: plan replay still allocated tensor memory in steady "
-                 "state (%llu warm-up -> %llu steady)\n",
-                 static_cast<unsigned long long>(plan_warm_heap),
-                 static_cast<unsigned long long>(plan_steady_heap));
+  if (!steady_replayed) {
+    std::fprintf(stderr, "FAIL: steady-state requests did not all replay a "
+                         "recorded plan\n");
     return 1;
   }
-  if (!plan_fewer_bookkeeping) {
+  if (!steady_flat) {
     std::fprintf(stderr,
-                 "FAIL: plan replay performed more per-request bookkeeping "
-                 "allocations than the arena-only probe (%llu vs %llu over "
-                 "%zu requests)\n",
-                 static_cast<unsigned long long>(plan_steady_global),
-                 static_cast<unsigned long long>(steady_global),
-                 plan_steady_requests);
+                 "FAIL: steady-state replay rounds are not flat below the "
+                 "plan's %zu steps (first round %llu allocations for %zu "
+                 "requests)\n",
+                 plan_steps,
+                 static_cast<unsigned long long>(round_allocs.front()),
+                 inputs.size());
     return 1;
   }
   return 0;

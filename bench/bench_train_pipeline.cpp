@@ -8,8 +8,7 @@
 //   * steady-state training steps make zero batch-tensor heap
 //     allocations: the whole multi-epoch in-memory run is allowed one
 //     Batch generation (3 tensors) and the streaming run three (the
-//     caller slot + two prefetch slots), mirroring bench_serve_throughput's
-//     arena gate;
+//     caller slot + two prefetch slots);
 //   * the loader's resident sample memory is bounded by the prefetch
 //     window (2 batches), not the corpus size;
 //   * the shard corpus round-trips verification (per-sample FNV-1a).

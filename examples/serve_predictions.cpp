@@ -165,15 +165,11 @@ int main(int argc, char** argv) {
               "p50 %.1f ms  p95 %.1f ms  p99 %.1f ms | %.1f req/s\n",
               st.completed, st.batches, st.mean_batch, st.p50_us / 1e3,
               st.p95_us / 1e3, st.p99_us / 1e3, st.throughput_rps);
-  const tensor::ArenaStats arena = server->arena_stats();
-  if (arena.node_allocs + arena.node_reuses > 0)
-    std::printf("tensor arena: %zu allocation(s) saved, %zu heap "
-                "allocation(s) (warm-up), %.1f MiB reserved\n",
-                arena.allocations_saved(), arena.heap_allocations(),
-                static_cast<double>(arena.bytes_reserved) / (1024.0 * 1024.0));
+  const tensor::plan::RuntimeStats plans = server->plan_stats();
+  std::printf("inference plans: %zu recorded, %zu replays, %zu eager "
+              "forward(s)\n",
+              plans.plans_recorded, plans.replays, plans.eager_runs);
 
-  // Shut the server down before scraping so the dispatcher arenas have
-  // hit their final reset() (arena gauges are pushed from there).
   server->shutdown();
 
   // ---- Raw-netlist session serving: what a real client sends is SPICE

@@ -54,10 +54,6 @@ PipelineOptions PipelineOptions::from_environment() {
       sparse::preconditioner_kind_from_env(o.sample.solver_precond);
   o.sample.solver_precision =
       sparse::solver_precision_from_env(o.sample.solver_precision);
-  o.solver_context_reuse = env_long("LMMIR_SOLVER_REUSE", 1) != 0;
-  o.feature_context_reuse = env_long("LMMIR_FEATURE_REUSE", 1) != 0;
-  o.tensor_arena = env_long("LMMIR_TENSOR_ARENA", 1) != 0;
-  o.inference_plan = env_long("LMMIR_INFER_PLAN", 0) != 0;
   o.session_cache_sessions = static_cast<std::size_t>(
       env_long("LMMIR_SESSION_CACHE",
                static_cast<long>(o.session_cache_sessions)));
@@ -108,11 +104,11 @@ data::Dataset Pipeline::build_training_dataset() const {
   d.seed = opts_.seed;
   pdn::SolverContext solver_ctx;
   feat::FeatureContext feature_ctx;
-  if (opts_.solver_context_reuse) d.sample.solver_context = &solver_ctx;
-  if (opts_.feature_context_reuse) d.sample.feature_context = &feature_ctx;
+  d.sample.solver_context = &solver_ctx;
+  d.sample.feature_context = &feature_ctx;
   data::Dataset ds = data::build_training_dataset(d);
-  if (opts_.solver_context_reuse) log_context_stats("dataset", solver_ctx);
-  if (opts_.feature_context_reuse) log_feature_stats("dataset", feature_ctx);
+  log_context_stats("dataset", solver_ctx);
+  log_feature_stats("dataset", feature_ctx);
   return ds;
 }
 
@@ -128,12 +124,12 @@ data::CorpusManifest Pipeline::export_training_corpus(
   d.seed = opts_.seed;
   pdn::SolverContext solver_ctx;
   feat::FeatureContext feature_ctx;
-  if (opts_.solver_context_reuse) d.sample.solver_context = &solver_ctx;
-  if (opts_.feature_context_reuse) d.sample.feature_context = &feature_ctx;
+  d.sample.solver_context = &solver_ctx;
+  d.sample.feature_context = &feature_ctx;
   const data::CorpusManifest manifest =
       data::spill_training_dataset(d, dir, samples_per_shard);
-  if (opts_.solver_context_reuse) log_context_stats("corpus", solver_ctx);
-  if (opts_.feature_context_reuse) log_feature_stats("corpus", feature_ctx);
+  log_context_stats("corpus", solver_ctx);
+  log_feature_stats("corpus", feature_ctx);
   return manifest;
 }
 
@@ -153,11 +149,11 @@ std::vector<data::Sample> Pipeline::build_hidden_testset() const {
   data::SampleOptions sample = opts_.sample;
   pdn::SolverContext solver_ctx;
   feat::FeatureContext feature_ctx;
-  if (opts_.solver_context_reuse) sample.solver_context = &solver_ctx;
-  if (opts_.feature_context_reuse) sample.feature_context = &feature_ctx;
+  sample.solver_context = &solver_ctx;
+  sample.feature_context = &feature_ctx;
   auto tests = data::build_table2_testset(sample, opts_.suite_scale);
-  if (opts_.solver_context_reuse) log_context_stats("testset", solver_ctx);
-  if (opts_.feature_context_reuse) log_feature_stats("testset", feature_ctx);
+  log_context_stats("testset", solver_ctx);
+  log_feature_stats("testset", feature_ctx);
   return tests;
 }
 
@@ -168,21 +164,12 @@ data::Sample Pipeline::sample_from_netlist_file(const std::string& path) const {
 
 std::unique_ptr<serve::InferenceServer> Pipeline::make_server(
     std::shared_ptr<models::IrModel> model, serve::ServeOptions options) const {
-  options.use_tensor_arena = options.use_tensor_arena && opts_.tensor_arena;
-  // OR, not AND: plans are opt-in (default off), so either the pipeline
-  // option or the per-server option turning them on should win.
-  options.use_inference_plan =
-      options.use_inference_plan || opts_.inference_plan;
   return std::make_unique<serve::InferenceServer>(std::move(model), options);
 }
 
 std::unique_ptr<serve::SessionServer> Pipeline::make_session_server(
     std::shared_ptr<models::IrModel> model,
     serve::SessionServeOptions options) const {
-  options.serve.use_tensor_arena =
-      options.serve.use_tensor_arena && opts_.tensor_arena;
-  options.serve.use_inference_plan =
-      options.serve.use_inference_plan || opts_.inference_plan;
   options.sample = opts_.sample;
   // Per-session FeatureContexts are owned by the cache; no shared solver
   // either (serving never golden-solves).

@@ -15,15 +15,6 @@
 //   none|jacobi|ssor|ic0|amg|dd),
 //   LMMIR_SOLVER_PRECISION (golden-solver arithmetic: double|mixed; see
 //   docs/SOLVER.md),
-//   LMMIR_SOLVER_REUSE (0 disables the shared SolverContext during
-//   dataset / testset golden solves),
-//   LMMIR_FEATURE_REUSE (0 disables the shared feat::FeatureContext during
-//   dataset / testset feature extraction; see docs/FEATURES.md),
-//   LMMIR_TENSOR_ARENA (0 disables arena-backed tensor recycling on the
-//   inference path; see docs/TENSOR.md),
-//   LMMIR_INFER_PLAN (1 enables ahead-of-time inference plans — record
-//   once per input shape, replay with fused/SIMD kernels through
-//   preplanned storage; see docs/PLAN.md),
 //   LMMIR_SESSION_CACHE (max cached sessions in make_session_server),
 //   LMMIR_SESSION_CACHE_MB (session-cache memory budget, MiB; see
 //   docs/SERVING.md),
@@ -53,30 +44,6 @@ struct PipelineOptions {
   int real_oversample = 4;
   train::TrainConfig train;
   std::uint64_t seed = 7;
-  /// Share one pdn::SolverContext across the golden solves of a dataset /
-  /// testset build (pattern + preconditioner reuse and warm starts for
-  /// consecutive same-topology cases; distinct topologies rebuild
-  /// automatically).  Env: LMMIR_SOLVER_REUSE=0 to disable.
-  bool solver_context_reuse = true;
-  /// Share one feat::FeatureContext across the feature extractions of a
-  /// dataset / testset build (topology-invariant channels reused for
-  /// consecutive same-topology cases; bitwise identical either way).
-  /// Env: LMMIR_FEATURE_REUSE=0 to disable.
-  bool feature_context_reuse = true;
-  /// Recycle inference tensors through per-worker arenas in the servers
-  /// this pipeline creates (zero steady-state allocations on the forward
-  /// path; bitwise-identical results).  Env: LMMIR_TENSOR_ARENA=0 to
-  /// disable.  make_server() ANDs this with ServeOptions::
-  /// use_tensor_arena, so either knob can switch arenas off.
-  bool tensor_arena = true;
-  /// Replay ahead-of-time inference plans in the servers this pipeline
-  /// creates (record one eager pass per batch shape, then replay it with
-  /// fused/SIMD kernels through preplanned flat-arena storage; bitwise
-  /// identical to eager — see docs/PLAN.md).  Opt-in, so the default is
-  /// off; env: LMMIR_INFER_PLAN=1 to enable.  make_server() ORs this
-  /// with ServeOptions::use_inference_plan, so either knob can switch
-  /// plans on.
-  bool inference_plan = false;
   /// Session-cache bounds for make_session_server (raw-netlist serving):
   /// max concurrently cached tenant sessions and the memory budget over
   /// their estimated resident bytes.  Env: LMMIR_SESSION_CACHE,

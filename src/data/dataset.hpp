@@ -78,8 +78,7 @@ void make_batch_into(const std::vector<Sample>& samples,
                      util::Rng& rng, Batch& out);
 
 /// Fresh batch-tensor allocations made by make_batch_into (and the
-/// streaming loader's stacker) since process start — the training
-/// analogue of tensor::ArenaStats::heap_allocations(): a pooled training
+/// streaming loader's stacker) since process start: a pooled training
 /// loop allocates a fixed number up front and then holds this counter
 /// flat in steady state (gated by bench_train_pipeline).
 std::uint64_t batch_tensor_allocations();

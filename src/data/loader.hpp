@@ -29,8 +29,8 @@
 // ready slot with the caller's Batch (never copies handles), so after a
 // warmup of at most three Batch generations the same tensor buffers
 // rotate caller -> slot -> caller forever and
-// data::batch_tensor_allocations() stays flat (gated, mirroring the
-// serve arena gate).
+// data::batch_tensor_allocations() stays flat (gated by
+// bench_train_pipeline).
 #include <cstddef>
 #include <future>
 #include <memory>

@@ -26,29 +26,27 @@ class IrModel : public nn::Module {
   /// Returns the predicted IR-drop map [N, 1, S, S].
   virtual Tensor forward(const Tensor& circuit, const Tensor& tokens) = 0;
 
-  /// Inference entry point: forward under NoGradGuard, so no tape is
-  /// recorded and — when the calling thread has a tensor::ArenaScope
-  /// installed — every intermediate recycles through the arena instead
-  /// of the heap.  Routed through the model's PlanRuntime: when
-  /// LMMIR_INFER_PLAN is on, the first call per input shape records an
-  /// ahead-of-time InferencePlan and later calls replay it (bitwise
-  /// identical, zero tensor heap allocations — see docs/PLAN.md); when
-  /// off, every call runs the eager forward.  Used by trainer
-  /// evaluation; the serving workers route through their server-owned
-  /// PlanRuntime inline in run_batch (they scope batch assembly too).
-  /// Training code calls forward() directly.
+  /// Inference entry point, under NoGradGuard.  In eval mode it goes
+  /// through the model's PlanRuntime: the first call per input shape
+  /// records an ahead-of-time InferencePlan during an eager forward and
+  /// later calls replay it, bitwise identical to forward() (docs/PLAN.md).
+  /// Plans read weights and batch-norm running stats live, so optimizer
+  /// steps and checkpoint loads need no invalidation.  In training mode
+  /// (batch statistics, active dropout) it runs the eager forward and
+  /// records nothing.  Used by trainer evaluation and both servers;
+  /// training code calls forward() directly.
   Tensor predict(const Tensor& circuit, const Tensor& tokens) {
     tensor::NoGradGuard no_grad;
+    if (training()) return forward(circuit, tokens);
     return plan_runtime_.run(circuit, tokens,
                              [this](const Tensor& c, const Tensor& t) {
                                return forward(c, t);
                              });
   }
 
-  /// The per-model plan cache behind predict().  Exposed so tests and
-  /// tools can toggle it (set_enabled) and inspect recording outcomes
-  /// (stats, plan_for).  Module is non-copyable, so per-instance state
-  /// here is safe.
+  /// The per-model plan cache behind predict(), for tests and tools that
+  /// inspect recording outcomes (stats, plan_for).  Module is
+  /// non-copyable, so per-instance state here is safe.
   tensor::plan::PlanRuntime& plan_runtime() { return plan_runtime_; }
 
   virtual std::string name() const = 0;

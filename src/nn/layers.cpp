@@ -80,10 +80,10 @@ BatchNorm2d::BatchNorm2d(int channels, float momentum_in, float eps_in)
   gamma = register_parameter(
       "weight", Tensor::full({channels}, 1.0f));
   beta = register_parameter("bias", Tensor::zeros({channels}));
-  running_mean.assign(static_cast<std::size_t>(channels), 0.0f);
-  running_var.assign(static_cast<std::size_t>(channels), 1.0f);
-  register_buffer("running_mean", &running_mean);
-  register_buffer("running_var", &running_var);
+  running_mean = Tensor::zeros({channels});
+  running_var = Tensor::full({channels}, 1.0f);
+  register_buffer("running_mean", &running_mean.data());
+  register_buffer("running_var", &running_var.data());
 }
 
 Tensor BatchNorm2d::forward(const Tensor& x) {

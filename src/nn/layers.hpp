@@ -59,7 +59,7 @@ class BatchNorm2d : public Layer {
   Tensor forward(const Tensor& x) override;
 
   Tensor gamma, beta;
-  std::vector<float> running_mean, running_var;
+  Tensor running_mean, running_var;  // [C], buffers, updated in place
   float momentum, eps;
 };
 

@@ -68,11 +68,12 @@ class Module {
 /// A module with the standard single-tensor forward signature; Sequential
 /// and most layers model this.
 ///
-/// Forward contract: a layer may hold parameters and plain-buffer state
-/// (e.g. batch-norm running stats) but must NOT cache input/output
-/// tensors across forward calls — on the serving path intermediates are
-/// arena-recycled per request (see docs/TENSOR.md), and a cached tensor
-/// would pin its arena slot for as long as the layer holds it.
+/// Forward contract: a layer may hold parameters and buffer state (e.g.
+/// batch-norm running stats) but must NOT cache input/output tensors
+/// across forward calls — a recorded inference plan (tensor/plan.hpp)
+/// reads every tensor that predates the forward as a live constant, so
+/// state carried from one forward into the next would freeze at record
+/// time.
 class Layer : public Module {
  public:
   virtual Tensor forward(const Tensor& x) = 0;

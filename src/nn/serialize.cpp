@@ -1,5 +1,6 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -108,7 +109,9 @@ void load_checkpoint(Module& module, const std::string& path) {
       throw std::runtime_error("load_checkpoint: missing parameter " + p.name);
     if (it->second.shape != p.tensor.shape())
       throw std::runtime_error("load_checkpoint: shape mismatch for " + p.name);
-    p.tensor.data() = it->second.data;
+    // In place: recorded inference plans read weights and buffers live.
+    std::copy(it->second.data.begin(), it->second.data.end(),
+              p.tensor.data().begin());
   }
   for (auto& b : module.named_buffers()) {
     const auto it = entries.find(b.name);
@@ -116,7 +119,8 @@ void load_checkpoint(Module& module, const std::string& path) {
       throw std::runtime_error("load_checkpoint: missing buffer " + b.name);
     if (it->second.data.size() != b.values->size())
       throw std::runtime_error("load_checkpoint: size mismatch for " + b.name);
-    *b.values = it->second.data;
+    std::copy(it->second.data.begin(), it->second.data.end(),
+              b.values->begin());
   }
 }
 

@@ -15,30 +15,7 @@ namespace lmmir::runtime {
 
 namespace {
 thread_local const ThreadPool* tl_worker_of = nullptr;
-
-// Meyers singletons: the default hook is registered from other
-// translation units' static initializers (tensor/arena.cpp), so its
-// storage must be initialization-order safe.
-std::mutex& default_init_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-WorkerInit& default_init_storage() {
-  static WorkerInit init;
-  return init;
-}
 }  // namespace
-
-void set_default_worker_init(WorkerInit init) {
-  std::lock_guard<std::mutex> lock(default_init_mu());
-  default_init_storage() = std::move(init);
-}
-
-WorkerInit default_worker_init() {
-  std::lock_guard<std::mutex> lock(default_init_mu());
-  return default_init_storage();
-}
 
 void Latch::count_down(std::ptrdiff_t n) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -56,19 +33,12 @@ bool Latch::try_wait() {
   return count_ <= 0;
 }
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : ThreadPool(threads, default_worker_init()) {}
-
-ThreadPool::ThreadPool(std::size_t threads, WorkerInit init)
-    : init_(std::move(init)) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
   workers_.reserve(threads);
-  // Shared (not a ctor local): workers touch the latch after the ctor
-  // may already have unwound on the mid-spawn failure path below.
-  auto started = std::make_shared<Latch>(static_cast<std::ptrdiff_t>(threads));
   try {
     for (std::size_t i = 0; i < threads; ++i)
-      workers_.emplace_back([this, i, started] { worker_loop(i, started); });
+      workers_.emplace_back([this] { worker_loop(); });
   } catch (...) {
     // Thread creation failed mid-spawn (resource exhaustion).  Join the
     // workers that did start before rethrowing — destroying a joinable
@@ -81,8 +51,6 @@ ThreadPool::ThreadPool(std::size_t threads, WorkerInit init)
     for (auto& w : workers_) w.join();
     throw;
   }
-  // Every worker has run its init hook once this returns (see header).
-  started->wait();
   workers_gauged_ = obs::metrics_enabled();
   if (workers_gauged_)
     obs::gauge("lmmir_pool_workers").add(static_cast<double>(threads));
@@ -102,25 +70,8 @@ ThreadPool::~ThreadPool() {
         .add_unchecked(-static_cast<double>(workers_.size()));
 }
 
-void ThreadPool::worker_loop(std::size_t index,
-                             std::shared_ptr<Latch> started) {
+void ThreadPool::worker_loop() {
   tl_worker_of = this;
-  // Per-worker state (e.g. a tensor scratch arena) installs here, on the
-  // worker's own thread, and lives until the worker exits.
-  WorkerCleanup cleanup;
-  if (init_) {
-    try {
-      cleanup = init_(index);
-    } catch (const std::exception& e) {
-      util::log_warn("ThreadPool worker ", index, ": init hook failed (",
-                     e.what(), "); continuing without per-worker state");
-    } catch (...) {
-      util::log_warn("ThreadPool worker ", index,
-                     ": init hook failed; continuing without per-worker state");
-    }
-  }
-  started->count_down();
-  started.reset();
   for (;;) {
     std::function<void()> job;
     {
@@ -143,13 +94,6 @@ void ThreadPool::worker_loop(std::size_t index,
         tasks.add();
         busy.add(obs::now_ns() - t0);
       }
-    }
-  }
-  if (cleanup) {
-    try {
-      cleanup();
-    } catch (...) {
-      util::log_warn("ThreadPool worker ", index, ": cleanup hook threw");
     }
   }
   tl_worker_of = nullptr;
@@ -198,16 +142,11 @@ std::mutex g_mu;
 std::size_t g_threads = 0;  // 0 = not yet initialized
 std::unique_ptr<ThreadPool> g_pool;
 
-void configure_locked(std::size_t threads, WorkerInit init) {
+void configure_locked(std::size_t threads) {
   threads = std::clamp<std::size_t>(threads, 1, kMaxThreads);
   g_pool.reset();  // join old workers before replacing
-  if (threads > 1)
-    g_pool = std::make_unique<ThreadPool>(threads - 1, std::move(init));
+  if (threads > 1) g_pool = std::make_unique<ThreadPool>(threads - 1);
   g_threads = threads;
-}
-
-void configure_locked(std::size_t threads) {
-  configure_locked(threads, default_worker_init());
 }
 
 }  // namespace
@@ -221,11 +160,6 @@ std::size_t global_threads() {
 void set_global_threads(std::size_t threads) {
   std::lock_guard<std::mutex> lock(g_mu);
   configure_locked(threads);
-}
-
-void set_global_threads(std::size_t threads, WorkerInit init) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  configure_locked(threads, std::move(init));
 }
 
 ThreadPool* global_pool() {

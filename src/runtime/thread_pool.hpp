@@ -12,9 +12,8 @@
 //  - results are bitwise identical to the serial code for any thread count
 //    because ranges are split on outer loops only and every chunk performs
 //    the exact per-row arithmetic of the serial implementation;
-//  - the pool itself is layer-agnostic: per-worker state (e.g. the tensor
-//    layer's scratch arenas) is injected through the WorkerInit hook below,
-//    so runtime/ depends on nothing above it.
+//  - workers carry no per-worker state, so runtime/ depends on nothing
+//    above it.
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -47,37 +46,10 @@ class Latch {
   std::ptrdiff_t count_;
 };
 
-/// Per-worker initialization hook.  A pool invokes the hook once on each
-/// worker THREAD (with the worker's index) before the worker drains any
-/// job, and invokes the returned cleanup (when non-empty) on the same
-/// thread right before the worker exits.  Thread-local state installed by
-/// the hook — the tensor layer's per-worker scratch arenas, for example —
-/// is therefore visible to every job the worker ever runs.  Hooks must be
-/// callable concurrently from multiple workers; an exception thrown by a
-/// hook is logged and the worker continues without its state.
-using WorkerCleanup = std::function<void()>;
-using WorkerInit = std::function<WorkerCleanup(std::size_t worker_index)>;
-
-/// Default hook used by pools not given an explicit one (including the
-/// process-wide pool).  Registered by the layer that owns the per-worker
-/// state (the tensor layer registers its arena installer at static-init
-/// time); empty when nothing registered.  Replacing it does not touch
-/// already running pools.
-void set_default_worker_init(WorkerInit init);
-WorkerInit default_worker_init();
-
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (at least one) with the process default
-  /// worker-init hook (see default_worker_init).
+  /// Spawns `threads` workers (at least one).
   explicit ThreadPool(std::size_t threads);
-  /// Spawns `threads` workers with an explicit hook; pass an empty
-  /// WorkerInit for workers with no per-worker state.  The pool keeps the
-  /// hook (and anything it captures) alive until destruction, and the
-  /// constructor returns only after every worker has completed its init —
-  /// per-worker state (e.g. an arena registry) is observable as soon as
-  /// the pool exists.
-  ThreadPool(std::size_t threads, WorkerInit init);
   /// Drains the queue (pending jobs still run), then joins all workers.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -97,9 +69,8 @@ class ThreadPool {
   bool in_worker() const;
 
  private:
-  void worker_loop(std::size_t index, std::shared_ptr<Latch> started);
+  void worker_loop();
 
-  WorkerInit init_;  // shared by all workers; alive for the pool's lifetime
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mu_;
@@ -117,12 +88,8 @@ std::size_t global_threads();
 
 /// Reconfigure the process-wide pool to `threads` total concurrency
 /// (clamped to >= 1; 1 means fully serial).  Not safe to call while
-/// parallel kernels are in flight on other threads.  Workers get the
-/// default worker-init hook; the two-arg overload injects an explicit
-/// hook instead (A/B measurement runs forcing per-worker state on or
-/// off, e.g. the tensor layer's worker_arena_init(bool)).
+/// parallel kernels are in flight on other threads.
 void set_global_threads(std::size_t threads);
-void set_global_threads(std::size_t threads, WorkerInit init);
 
 /// The shared pool, or nullptr when running serial (global_threads() <= 1).
 /// The pointer stays valid until the next set_global_threads call.

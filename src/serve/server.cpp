@@ -79,9 +79,7 @@ double throughput_rps(std::size_t completed, double span_seconds) {
 
 InferenceServer::InferenceServer(std::shared_ptr<models::IrModel> model,
                                  ServeOptions options)
-    : model_(std::move(model)),
-      opts_(options),
-      plan_runtime_(options.use_inference_plan) {
+    : model_(std::move(model)), opts_(options) {
   if (!model_)
     throw std::invalid_argument("InferenceServer: model must not be null");
   if (opts_.max_batch == 0) opts_.max_batch = 1;
@@ -90,15 +88,10 @@ InferenceServer::InferenceServer(std::shared_ptr<models::IrModel> model,
   // identity, making every layer per-sample and inference side-effect free
   // (batched == sequential bitwise; concurrent dispatchers are safe).
   model_->set_training(false);
-  if (opts_.use_tensor_arena) {
-    arenas_.reserve(opts_.worker_threads);
-    for (std::size_t i = 0; i < opts_.worker_threads; ++i)
-      arenas_.push_back(std::make_unique<tensor::TensorArena>());
-  }
   dispatchers_.reserve(opts_.worker_threads);
   try {
     for (std::size_t i = 0; i < opts_.worker_threads; ++i)
-      dispatchers_.emplace_back([this, i] { dispatcher_loop(i); });
+      dispatchers_.emplace_back([this] { dispatcher_loop(); });
   } catch (...) {
     shutdown();  // join the dispatchers that did start, then rethrow
     throw;
@@ -194,9 +187,7 @@ void InferenceServer::collect_expired_locked(std::vector<Pending>& expired) {
   }
 }
 
-void InferenceServer::dispatcher_loop(std::size_t worker_index) {
-  tensor::TensorArena* arena =
-      worker_index < arenas_.size() ? arenas_[worker_index].get() : nullptr;
+void InferenceServer::dispatcher_loop() {
   for (;;) {
     std::vector<Pending> batch;
     std::vector<Pending> expired;
@@ -253,12 +244,11 @@ void InferenceServer::dispatcher_loop(std::size_t worker_index) {
       }
     }
     if (batch.empty()) continue;  // raced, drained, or everything expired
-    run_batch(batch, arena);  // resets the arena before fulfilling promises
+    run_batch(batch);
   }
 }
 
-void InferenceServer::run_batch(std::vector<Pending>& batch,
-                                tensor::TensorArena* arena) {
+void InferenceServer::run_batch(std::vector<Pending>& batch) {
   const auto t_start = Clock::now();
   const std::size_t n = batch.size();
   std::size_t fulfilled = 0;  // promises already satisfied (never re-set)
@@ -273,9 +263,6 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
     batch_span_id = batch_span->id();
     Tensor pred;
     {
-      tensor::NoGradGuard no_grad;     // inference builds no tape...
-      tensor::ArenaScope scope(arena); // ...and recycles through the arena.
-
       // Stack [C,S,S] -> [N,C,S,S] (and tokens [T,F] -> [N,T,F]), exactly
       // the concatenation data::make_batch performs for training batches.
       Tensor circuit, tokens;
@@ -283,8 +270,7 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
         obs::Span stack_span("serve.stack");
         const auto& cs = batch.front().request.circuit.shape();
         const std::size_t per = batch.front().request.circuit.numel();
-        // Every element is overwritten by the per-request copies below.
-        std::vector<float> circ = tensor::arena_buffer_overwrite(n * per);
+        std::vector<float> circ(n * per);
         std::size_t off = 0;
         for (const auto& p : batch) {
           std::copy(p.request.circuit.data().begin(),
@@ -299,8 +285,7 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
         if (batch.front().request.tokens.defined()) {
           const auto& ts = batch.front().request.tokens.shape();
           const std::size_t per_tok = batch.front().request.tokens.numel();
-          std::vector<float> toks =
-              tensor::arena_buffer_overwrite(n * per_tok);
+          std::vector<float> toks(n * per_tok);
           std::size_t tok_off = 0;
           for (const auto& p : batch) {
             std::copy(p.request.tokens.data().begin(),
@@ -313,21 +298,8 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
         }
       }
 
-      {
-        obs::Span forward_span("serve.forward");
-        // Routed through the server's plan cache: first batch per shape
-        // records (an eager pass under a recording scope), later ones
-        // replay.  With use_inference_plan off the runtime always takes
-        // the eager branch, so this is the plain forward.
-        pred = plan_runtime_.run(
-            circuit, tokens, [this](const Tensor& c, const Tensor& t) {
-              return model_->forward(c, t);
-            });
-      }
-      // The scope ends here: the batch inputs and every intermediate
-      // return to the arena as their handles drop.  `pred` stays alive
-      // (arena-backed) while the owning result slices are copied out
-      // below, outside the scope.
+      obs::Span forward_span("serve.forward");
+      pred = model_->predict(circuit, tokens);
     }
     const auto t_done = Clock::now();
     const double compute_us = elapsed_us(t_start, t_done);
@@ -383,14 +355,8 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
       r.batch_size = n;
       results.push_back(std::move(r));
     }
-    // Release the batched output and run the per-request arena barrier
-    // BEFORE fulfilling the promises: a caller returning from predict()
-    // then observes a quiescent arena (live_nodes 0, pools swept) in
-    // arena_stats().
     {
       obs::Span fulfil_span("serve.fulfil");
-      pred = Tensor();
-      if (arena) arena->reset();
       for (std::size_t i = 0; i < n; ++i) {
         batch[i].promise.set_value(std::move(results[i]));
         ++fulfilled;
@@ -408,10 +374,6 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
     }
   } catch (const std::exception& e) {
     util::log_error("InferenceServer: batch of ", n, " failed: ", e.what());
-    // Unwinding released every tensor; the barrier still has to run or
-    // the dead buffers stay out of the pools (and the quiescence
-    // contract breaks) for every batch after a failure.
-    if (arena) arena->reset();
     failed_.fetch_add(batch.size() - fulfilled, std::memory_order_relaxed);
     ServeMetrics::get().failed.add(batch.size() - fulfilled);
     for (std::size_t i = fulfilled; i < batch.size(); ++i)
@@ -419,7 +381,6 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
   } catch (...) {
     util::log_error("InferenceServer: batch of ", n,
                     " failed with a non-std exception");
-    if (arena) arena->reset();
     failed_.fetch_add(batch.size() - fulfilled, std::memory_order_relaxed);
     ServeMetrics::get().failed.add(batch.size() - fulfilled);
     for (std::size_t i = fulfilled; i < batch.size(); ++i)
@@ -439,12 +400,6 @@ void InferenceServer::shutdown() {
   for (auto& d : dispatchers_)
     if (d.joinable()) d.join();
   dispatchers_.clear();
-}
-
-tensor::ArenaStats InferenceServer::arena_stats() const {
-  tensor::ArenaStats total;
-  for (const auto& a : arenas_) total += a->stats();
-  return total;
 }
 
 ServerStats InferenceServer::stats() const {

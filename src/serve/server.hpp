@@ -17,6 +17,10 @@
 //   serve::PredictResult r = fut.get();           // [1,S,S] prediction
 //   grid::Grid2D map = serve::restore_percent_map(r, sample);
 //
+// The batched forward is IrModel::predict: each batch shape the coalescer
+// forms records one inference plan in the model's cache and replays it
+// afterwards (docs/PLAN.md).
+//
 // Thread model: `worker_threads` dispatcher threads pop batches
 // independently; the batched forward itself fans out over the
 // runtime::global_pool for intra-op parallelism.  The model is switched to
@@ -37,7 +41,6 @@
 
 #include "data/sample.hpp"
 #include "models/common.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/plan.hpp"
 #include "tensor/tensor.hpp"
 
@@ -86,23 +89,6 @@ struct ServeOptions {
   /// (each Pending holds full input tensors; an unbounded queue would grow
   /// without limit whenever arrival outpaces compute). 0 = unbounded.
   std::size_t max_queue = 1024;
-  /// Recycle inference tensors through one tensor::TensorArena per
-  /// dispatcher thread (reset between batches): the batched forward is
-  /// allocation-free in steady state once every batch shape has been
-  /// seen, with bitwise-identical predictions.  Result maps are always
-  /// owning copies — they outlive the request scope.
-  /// Default follows LMMIR_TENSOR_ARENA (unset/non-zero = on).
-  bool use_tensor_arena = tensor::arena_enabled_from_env();
-  /// Replay ahead-of-time inference plans: the first batch per input
-  /// shape runs the eager forward under a recording scope; every later
-  /// batch with the same shape replays the recorded op sequence through
-  /// preplanned flat-arena storage and fused/SIMD kernels — bitwise
-  /// identical to eager, zero tensor heap allocations in steady state
-  /// (see docs/PLAN.md).  The plan cache is server-owned and keyed on
-  /// the batched input shapes, so every max_batch value the coalescer
-  /// produces gets its own plan.  Default follows LMMIR_INFER_PLAN
-  /// (opt-in: unset/"0" = off).
-  bool use_inference_plan = tensor::plan::plan_enabled_from_env();
 };
 
 struct PredictRequest {
@@ -200,16 +186,13 @@ class InferenceServer {
   const ServeOptions& options() const { return opts_; }
   const models::IrModel& model() const { return *model_; }
 
-  /// Aggregated tensor-arena counters across the dispatcher arenas (all
-  /// zero when use_tensor_arena is off).  The counters are written by
-  /// the dispatchers without synchronization: call while the server is
-  /// idle (no in-flight requests), e.g. after the futures you're
-  /// measuring have resolved.
-  tensor::ArenaStats arena_stats() const;
-
-  /// Plan-cache counters (recorded / unsupported / replays / eager runs;
-  /// all zero when use_inference_plan is off).
-  tensor::plan::RuntimeStats plan_stats() const { return plan_runtime_.stats(); }
+  /// Counters of the model's plan cache (recorded / unsupported /
+  /// replays / eager runs), which the batched forwards go through.  The
+  /// cache belongs to the model, so they include its other predict()
+  /// calls.
+  tensor::plan::RuntimeStats plan_stats() const {
+    return model_->plan_runtime().stats();
+  }
 
   /// Latency samples retained for the stats() distribution (ring buffer).
   static constexpr std::size_t kStatsWindow = 16384;
@@ -223,8 +206,8 @@ class InferenceServer {
     Clock::time_point arrival;
   };
 
-  void dispatcher_loop(std::size_t worker_index);
-  void run_batch(std::vector<Pending>& batch, tensor::TensorArena* arena);
+  void dispatcher_loop();
+  void run_batch(std::vector<Pending>& batch);
   static bool batchable(const PredictRequest& a, const PredictRequest& b);
   /// Move queued requests whose deadline passed into `expired` (called
   /// under mu_; promises are fulfilled by the caller after unlocking).
@@ -232,10 +215,6 @@ class InferenceServer {
 
   std::shared_ptr<models::IrModel> model_;
   ServeOptions opts_;
-  std::vector<std::unique_ptr<tensor::TensorArena>> arenas_;  // per dispatcher
-  /// Shared by the dispatchers: one plan per batched input shape; the
-  /// runtime serializes recording and pools executors for replay.
-  tensor::plan::PlanRuntime plan_runtime_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -1,6 +1,7 @@
 #include "serve/session.hpp"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -162,22 +163,30 @@ SessionTicket SessionServer::submit(SessionRequest request) {
 
   std::lock_guard<std::mutex> entry_lock(entry->mu);
 
-  // --- Materialize the netlist revision this request asks about. ---
+  // --- Materialize the netlist revision this request asks about.  The
+  // whole request is validated before the session changes: a rejected
+  // request leaves no partial delta behind. ---
+  std::optional<spice::Netlist> parsed;
   if (!request.netlist_text.empty()) {
-    entry->netlist = spice::parse_netlist_string(request.netlist_text);
-    entry->has_netlist = true;
+    parsed = spice::parse_netlist_string(request.netlist_text);
   } else if (!entry->has_netlist) {
     throw std::invalid_argument(
         "session submit: delta/replay request but session '" +
         request.session_id + "' has no cached base netlist");
   }
-  if (request.base_revision != 0 &&
-      entry->netlist.revision() != request.base_revision)
+  const spice::Netlist& base = parsed ? *parsed : entry->netlist;
+  if (request.base_revision != 0 && base.revision() != request.base_revision)
     throw std::invalid_argument(
         "session submit: stale base_revision " +
         std::to_string(request.base_revision) + " (session '" +
         request.session_id + "' is at revision " +
-        std::to_string(entry->netlist.revision()) + ")");
+        std::to_string(base.revision()) + ")");
+  for (const ValueEdit& edit : request.edits)
+    base.check_element_value(edit.element_index, edit.value);
+  if (parsed) {
+    entry->netlist = std::move(*parsed);
+    entry->has_netlist = true;
+  }
   for (const ValueEdit& edit : request.edits)
     entry->netlist.set_element_value(edit.element_index, edit.value);
 

@@ -158,8 +158,11 @@ class SessionServer {
   /// Parse/apply + featurize inline, enqueue the inference, return a
   /// ticket.  Throws RejectedError (shutdown, inner queue full, deadline
   /// blown during extraction), std::invalid_argument (malformed request:
-  /// delta with no cached base, stale base_revision, bad element index),
-  /// and whatever the parser/extractor throw on bad netlist text.
+  /// delta with no cached base, stale base_revision, non-finite or
+  /// non-positive-resistance value), std::out_of_range (bad element
+  /// index), and whatever the parser/extractor throw on bad netlist text.
+  /// The request is validated whole before the session changes, so a
+  /// rejected request applies none of its edits.
   SessionTicket submit(SessionRequest request);
 
   /// Synchronous convenience wrapper: submit + get.  Same thread

@@ -59,11 +59,18 @@ void Netlist::add_voltage_source(const std::string& name, NodeId plus,
 }
 
 void Netlist::set_element_value(std::size_t element_index, double value) {
-  Element& e = elements_.at(element_index);
+  check_element_value(element_index, value);
+  touch();
+  elements_[element_index].value = value;
+}
+
+void Netlist::check_element_value(std::size_t element_index,
+                                  double value) const {
+  const Element& e = elements_.at(element_index);
+  if (!std::isfinite(value))
+    throw std::invalid_argument("set_element_value: non-finite value");
   if (e.type == ElementType::Resistor && value <= 0.0)
     throw std::invalid_argument("set_element_value: non-positive resistance");
-  touch();
-  e.value = value;
 }
 
 std::size_t Netlist::count(ElementType t) const {

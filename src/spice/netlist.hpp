@@ -58,8 +58,12 @@ class Netlist {
                           double volts);
 
   /// Replace an element's value (PDN optimization: wire upsizing rewrites
-  /// resistor values in place). Throws std::out_of_range / invalid_argument.
+  /// resistor values in place).  Throws what check_element_value throws,
+  /// leaving the netlist and its revision untouched.
   void set_element_value(std::size_t element_index, double value);
+  /// Throws std::out_of_range for a bad index and std::invalid_argument
+  /// for a non-finite value or a non-positive resistance; changes nothing.
+  void check_element_value(std::size_t element_index, double value) const;
 
   const std::vector<Element>& elements() const { return elements_; }
   const std::vector<Node>& nodes() const { return nodes_; }

@@ -1,6 +1,7 @@
 #include "spice/parser.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -34,6 +35,8 @@ bool parse_spice_value(const std::string& token, double& out) {
   else if (suffix == "t") mult = 1e12;
   else return false;
 
+  // Overflow ("1e308k") and literal inf/nan are malformed values too.
+  if (!std::isfinite(base * mult)) return false;
   out = base * mult;
   return true;
 }

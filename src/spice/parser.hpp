@@ -24,7 +24,7 @@ struct ParseStats {
 };
 
 /// Parse a numeric literal with optional SPICE engineering suffix.
-/// Returns false on malformed input.
+/// Returns false on malformed input, including non-finite results.
 bool parse_spice_value(const std::string& token, double& out);
 
 /// Parse netlist text. Throws std::runtime_error with a line number on

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "tensor/arena.hpp"
 #include "tensor/tensor.hpp"
 
 namespace lmmir::tensor::ophelp {

@@ -75,11 +75,10 @@ Tensor maxpool2d(const Tensor& x, int kernel, int stride);
 Tensor upsample_nearest2x(const Tensor& x);
 
 // ---- normalization ------------------------------------------------------
-/// Batch norm over (N, H, W) per channel; updates running stats in
-/// training mode and uses them in eval mode.
+/// Batch norm over (N, H, W) per channel; updates the [C] running stats
+/// in place in training mode and uses them in eval mode.
 Tensor batch_norm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                    std::vector<float>& running_mean,
-                    std::vector<float>& running_var, bool training,
+                    Tensor& running_mean, Tensor& running_var, bool training,
                     float momentum = 0.1f, float eps = 1e-5f);
 /// Layer norm over the last dimension.
 Tensor layer_norm_lastdim(const Tensor& x, const Tensor& gamma,

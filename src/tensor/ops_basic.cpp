@@ -16,7 +16,7 @@ using ophelp::check_same_shape;
 
 Tensor add(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add");
-  std::vector<float> y = arena_buffer(a.numel());
+  std::vector<float> y(a.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = a.data()[i] + b.data()[i];
   auto out = make_node(a.shape(), std::move(y));
   plan::record_op(plan::OpKind::kAdd, out, {&a, &b});
@@ -31,7 +31,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
 
 Tensor sub(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "sub");
-  std::vector<float> y = arena_buffer(a.numel());
+  std::vector<float> y(a.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = a.data()[i] - b.data()[i];
   auto out = make_node(a.shape(), std::move(y));
   plan::record_op(plan::OpKind::kSub, out, {&a, &b});
@@ -50,7 +50,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
 
 Tensor mul(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "mul");
-  std::vector<float> y = arena_buffer(a.numel());
+  std::vector<float> y(a.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = a.data()[i] * b.data()[i];
   auto out = make_node(a.shape(), std::move(y));
   plan::record_op(plan::OpKind::kMul, out, {&a, &b});
@@ -72,7 +72,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor scale(const Tensor& a, float s) {
-  std::vector<float> y = arena_buffer(a.numel());
+  std::vector<float> y(a.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = a.data()[i] * s;
   auto out = make_node(a.shape(), std::move(y));
   plan::record_op(plan::OpKind::kScale, out, {&a}, {.f0 = s});
@@ -88,7 +88,7 @@ Tensor scale(const Tensor& a, float s) {
 }
 
 Tensor add_scalar(const Tensor& a, float s) {
-  std::vector<float> y = arena_buffer(a.numel());
+  std::vector<float> y(a.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = a.data()[i] + s;
   auto out = make_node(a.shape(), std::move(y));
   plan::record_op(plan::OpKind::kAddScalar, out, {&a}, {.f0 = s});
@@ -103,7 +103,7 @@ Tensor add_scalar(const Tensor& a, float s) {
 Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
 
 Tensor relu(const Tensor& x) {
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = std::max(0.0f, x.data()[i]);
   auto out = make_node(x.shape(), std::move(y));
   plan::record_op(plan::OpKind::kRelu, out, {&x});
@@ -119,7 +119,7 @@ Tensor relu(const Tensor& x) {
 }
 
 Tensor leaky_relu(const Tensor& x, float negative_slope) {
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t i = 0; i < y.size(); ++i) {
     const float v = x.data()[i];
     y[i] = v > 0.0f ? v : negative_slope * v;
@@ -139,7 +139,7 @@ Tensor leaky_relu(const Tensor& x, float negative_slope) {
 }
 
 Tensor sigmoid(const Tensor& x) {
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t i = 0; i < y.size(); ++i)
     y[i] = 1.0f / (1.0f + std::exp(-x.data()[i]));
   auto out = make_node(x.shape(), std::move(y));
@@ -158,7 +158,7 @@ Tensor sigmoid(const Tensor& x) {
 }
 
 Tensor tanh_act(const Tensor& x) {
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = std::tanh(x.data()[i]);
   auto out = make_node(x.shape(), std::move(y));
   plan::record_op(plan::OpKind::kTanh, out, {&x});
@@ -180,7 +180,7 @@ Tensor softmax_lastdim(const Tensor& x) {
     throw std::invalid_argument("softmax_lastdim: needs >=1 dims");
   const std::size_t d = static_cast<std::size_t>(x.dim(-1));
   const std::size_t rows = x.numel() / d;
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t r = 0; r < rows; ++r) {
     const float* in = x.data().data() + r * d;
     float* o = y.data() + r * d;
@@ -219,9 +219,7 @@ Tensor reshape(const Tensor& x, Shape new_shape) {
     throw std::invalid_argument("reshape: element count mismatch " +
                                 shape_to_string(x.shape()) + " -> " +
                                 shape_to_string(new_shape));
-  std::vector<float> y =
-      arena_buffer_copy(x.data().data(), x.data().data() + x.numel());
-  auto out = make_node(std::move(new_shape), std::move(y));
+  auto out = make_node(std::move(new_shape), x.data());
   plan::record_op(plan::OpKind::kReshape, out, {&x});
   if (needs_grad({&x})) {
     attach(out, {x}, [self = out.get(), px = x.impl()]() {
@@ -266,7 +264,7 @@ Tensor concat(const Tensor& a, const Tensor& b, int axis) {
   out_shape[static_cast<std::size_t>(axis)] += b.dim(axis);
   const auto sa = split_at(a.shape(), axis);
   const auto sb = split_at(b.shape(), axis);
-  std::vector<float> y = arena_buffer(shape_numel(out_shape));
+  std::vector<float> y(shape_numel(out_shape));
   const std::size_t stride_a = sa.axis * sa.inner;
   const std::size_t stride_b = sb.axis * sb.inner;
   const std::size_t stride_o = stride_a + stride_b;
@@ -307,7 +305,7 @@ Tensor slice_axis(const Tensor& x, int axis, int start, int len) {
   const auto s = split_at(x.shape(), axis);
   Shape out_shape = x.shape();
   out_shape[static_cast<std::size_t>(axis)] = len;
-  std::vector<float> y = arena_buffer(shape_numel(out_shape));
+  std::vector<float> y(shape_numel(out_shape));
   const std::size_t in_stride = s.axis * s.inner;
   const std::size_t out_stride = static_cast<std::size_t>(len) * s.inner;
   const std::size_t off = static_cast<std::size_t>(start) * s.inner;
@@ -340,7 +338,7 @@ Tensor transpose_last2(const Tensor& x) {
   Shape out_shape = x.shape();
   out_shape[out_shape.size() - 2] = static_cast<int>(n);
   out_shape[out_shape.size() - 1] = static_cast<int>(m);
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t b = 0; b < batch; ++b) {
     const float* in = x.data().data() + b * m * n;
     float* o = y.data() + b * m * n;
@@ -367,7 +365,7 @@ Tensor transpose_last2(const Tensor& x) {
 namespace {
 /// 1-element output node for reductions (pooled like every op output).
 std::vector<float> scalar_buffer(float value) {
-  std::vector<float> y = arena_buffer(1);
+  std::vector<float> y(1);
   y[0] = value;
   return y;
 }
@@ -455,7 +453,7 @@ Tensor add_bias_lastdim(const Tensor& x, const Tensor& b) {
     throw std::invalid_argument("add_bias_lastdim: bias shape mismatch");
   const std::size_t d = static_cast<std::size_t>(x.dim(-1));
   const std::size_t rows = x.numel() / d;
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t i = 0; i < d; ++i)
       y[r * d + i] = x.data()[r * d + i] + b.data()[i];
@@ -485,7 +483,7 @@ Tensor add_bias_channels(const Tensor& x, const Tensor& b) {
   const std::size_t c = static_cast<std::size_t>(x.dim(1));
   const std::size_t hw = static_cast<std::size_t>(x.dim(2)) *
                          static_cast<std::size_t>(x.dim(3));
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t ni = 0; ni < n; ++ni)
     for (std::size_t ci = 0; ci < c; ++ci) {
       const float bv = b.data()[ci];
@@ -525,7 +523,7 @@ Tensor mul_broadcast_channel(const Tensor& x, const Tensor& a) {
   const std::size_t c = static_cast<std::size_t>(x.dim(1));
   const std::size_t hw = static_cast<std::size_t>(x.dim(2)) *
                          static_cast<std::size_t>(x.dim(3));
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t ni = 0; ni < n; ++ni) {
     const float* av = a.data().data() + ni * hw;
     for (std::size_t ci = 0; ci < c; ++ci) {
@@ -574,7 +572,7 @@ Tensor dropout(const Tensor& x, float p, util::Rng& rng, bool training) {
   const float keep = 1.0f - p;
   std::vector<float> mask(x.numel());
   for (auto& m : mask) m = rng.uniform() < p ? 0.0f : 1.0f / keep;
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = x.data()[i] * mask[i];
   auto out = make_node(x.shape(), std::move(y));
   if (needs_grad({&x})) {

@@ -108,7 +108,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
 
   const std::size_t patch = g.cin * g.kh * g.kw;
   const std::size_t spatial = g.oh * g.ow;
-  std::vector<float> y = arena_buffer(g.n * g.cout * spatial);
+  std::vector<float> y(g.n * g.cout * spatial);
   // Samples are independent (each chunk keeps a private im2col buffer and
   // writes its own output planes), so the batch fans out over the pool.
   // For a single-sample batch (the serving latency path) the outer loop
@@ -119,9 +119,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
   runtime::parallel_for(
       0, g.n, runtime::grain_for_cost(patch * spatial * g.cout),
       [&](std::size_t lo, std::size_t hi) {
-        // Pooled on the executing thread's arena (dispatcher or pool
-        // worker); im2col overwrites the whole buffer.
-        ScratchBuffer col(patch * spatial);
+        std::vector<float> col(patch * spatial);
         for (std::size_t ni = lo; ni < hi; ++ni) {
           im2col(x.data().data() + ni * g.cin * g.h * g.w, g, col.data());
           runtime::parallel_for(
@@ -209,7 +207,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
                       static_cast<std::size_t>(b.dim(0)) != g.cout))
     throw std::invalid_argument("conv_transpose2d: bias shape mismatch");
 
-  std::vector<float> y = arena_buffer(g.n * g.cout * g.oh * g.ow);
+  std::vector<float> y(g.n * g.cout * g.oh * g.ow);
   if (b.defined())
     for (std::size_t ni = 0; ni < g.n; ++ni)
       for (std::size_t c = 0; c < g.cout; ++c)
@@ -349,8 +347,8 @@ Tensor maxpool2d(const Tensor& x, int kernel, int stride) {
                              static_cast<std::size_t>(stride) + 1;
   const std::size_t ow = (w - static_cast<std::size_t>(kernel)) /
                              static_cast<std::size_t>(stride) + 1;
-  std::vector<float> y = arena_buffer(n * c * oh * ow);
-  IndexScratchBuffer argmax(y.size());
+  std::vector<float> y(n * c * oh * ow);
+  std::vector<std::size_t> argmax(y.size());
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* in = x.data().data() + nc * h * w;
     float* o = y.data() + nc * oh * ow;
@@ -382,7 +380,7 @@ Tensor maxpool2d(const Tensor& x, int kernel, int stride) {
                   {.i0 = kernel, .i1 = stride});
   if (needs_grad({&x})) {
     attach(out, {x},
-           [self = out.get(), px = x.impl(), argmax = argmax.take(), n, c,
+           [self = out.get(), px = x.impl(), argmax = std::move(argmax), n, c,
             h, w, oh, ow]() {
              if (!px->requires_grad) return;
              px->ensure_grad();
@@ -405,7 +403,7 @@ Tensor upsample_nearest2x(const Tensor& x) {
   const std::size_t h = static_cast<std::size_t>(x.dim(2));
   const std::size_t w = static_cast<std::size_t>(x.dim(3));
   const std::size_t oh = h * 2, ow = w * 2;
-  std::vector<float> y = arena_buffer(n * c * oh * ow);
+  std::vector<float> y(n * c * oh * ow);
   for (std::size_t nc = 0; nc < n * c; ++nc) {
     const float* in = x.data().data() + nc * h * w;
     float* o = y.data() + nc * oh * ow;

@@ -24,7 +24,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const std::size_t m = static_cast<std::size_t>(a.dim(0));
   const std::size_t k = static_cast<std::size_t>(a.dim(1));
   const std::size_t n = static_cast<std::size_t>(b.dim(1));
-  std::vector<float> y = arena_buffer(m * n);
+  std::vector<float> y(m * n);
   // Row blocks write disjoint slices of y; per-row arithmetic is the same
   // as the serial kernel, so results are thread-count independent.
   runtime::parallel_for(
@@ -67,7 +67,7 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
   const std::size_t m = static_cast<std::size_t>(a.dim(1));
   const std::size_t k = static_cast<std::size_t>(a.dim(2));
   const std::size_t n = static_cast<std::size_t>(b.dim(2));
-  std::vector<float> y = arena_buffer(bs * m * n);
+  std::vector<float> y(bs * m * n);
   runtime::parallel_for(
       0, bs, runtime::grain_for_cost(m * k * n),
       [&](std::size_t lo, std::size_t hi) {
@@ -116,7 +116,7 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
   const std::size_t rows = x.numel() / in;
 
   // y[rows,out] = x[rows,in] * w[out,in]ᵀ (+ b)
-  std::vector<float> y = arena_buffer(rows * outf);
+  std::vector<float> y(rows * outf);
   runtime::parallel_for(
       0, rows, runtime::grain_for_cost(in * outf),
       [&](std::size_t lo, std::size_t hi) {

@@ -12,8 +12,7 @@ using detail::needs_grad;
 using ophelp::attach;
 
 Tensor batch_norm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                    std::vector<float>& running_mean,
-                    std::vector<float>& running_var, bool training,
+                    Tensor& running_mean, Tensor& running_var, bool training,
                     float momentum, float eps) {
   if (x.ndim() != 4) throw std::invalid_argument("batch_norm2d: expects NCHW");
   const std::size_t n = static_cast<std::size_t>(x.dim(0));
@@ -23,12 +22,14 @@ Tensor batch_norm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   if (gamma.ndim() != 1 || static_cast<std::size_t>(gamma.dim(0)) != c ||
       beta.ndim() != 1 || static_cast<std::size_t>(beta.dim(0)) != c)
     throw std::invalid_argument("batch_norm2d: affine shape mismatch");
-  if (running_mean.size() != c || running_var.size() != c)
+  if (running_mean.numel() != c || running_var.numel() != c)
     throw std::invalid_argument("batch_norm2d: running stats size mismatch");
 
   const std::size_t m = n * hw;  // elements per channel
-  ScratchBuffer mean(c);
-  ScratchBuffer invstd(c);
+  std::vector<float>& rmean = running_mean.data();
+  std::vector<float>& rvar = running_var.data();
+  std::vector<float> mean(c);
+  std::vector<float> invstd(c);
   if (training) {
     // Batch statistics and running-stat updates are per-pass state a
     // recorded plan cannot replay.
@@ -51,20 +52,21 @@ Tensor batch_norm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
       var /= static_cast<double>(m);
       mean[ci] = static_cast<float>(mu);
       invstd[ci] = static_cast<float>(1.0 / std::sqrt(var + eps));
-      running_mean[ci] = (1.0f - momentum) * running_mean[ci] +
-                         momentum * static_cast<float>(mu);
-      running_var[ci] = (1.0f - momentum) * running_var[ci] +
-                        momentum * static_cast<float>(var);
+      rmean[ci] = (1.0f - momentum) * rmean[ci] +
+                  momentum * static_cast<float>(mu);
+      rvar[ci] = (1.0f - momentum) * rvar[ci] +
+                 momentum * static_cast<float>(var);
     }
   } else {
+    // A plan's batch-norm steps repeat these two expressions at replay.
     for (std::size_t ci = 0; ci < c; ++ci) {
-      mean[ci] = running_mean[ci];
-      invstd[ci] = 1.0f / std::sqrt(running_var[ci] + eps);
+      mean[ci] = rmean[ci];
+      invstd[ci] = 1.0f / std::sqrt(rvar[ci] + eps);
     }
   }
 
-  ScratchBuffer xhat(x.numel());
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> xhat(x.numel());
+  std::vector<float> y(x.numel());
   for (std::size_t ni = 0; ni < n; ++ni)
     for (std::size_t ci = 0; ci < c; ++ci) {
       const float* in = x.data().data() + (ni * c + ci) * hw;
@@ -81,23 +83,17 @@ Tensor batch_norm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     }
 
   auto out = make_node(x.shape(), std::move(y));
-  if (!training && plan::recording_active()) {
-    // Eval-mode stats are constants of the recording: snapshot the
-    // per-channel mean and inverse stddev by value (the running-stat
-    // vectors are plain buffers the recorder cannot reference).
-    plan::OpAttrs attrs;
-    attrs.snapshot.reserve(2 * c);
-    attrs.snapshot.insert(attrs.snapshot.end(), mean.data(), mean.data() + c);
-    attrs.snapshot.insert(attrs.snapshot.end(), invstd.data(),
-                          invstd.data() + c);
-    plan::record_op(plan::OpKind::kBatchNorm2dEval, out, {&x, &gamma, &beta},
-                    std::move(attrs));
-  }
+  // Eval mode only (training refused to record above): the running stats
+  // are inputs like the weights, so a plan reads them live at replay.
+  if (!training)
+    plan::record_op(plan::OpKind::kBatchNorm2dEval, out,
+                    {&x, &gamma, &beta, &running_mean, &running_var},
+                    {.f0 = eps});
   if (needs_grad({&x, &gamma, &beta})) {
     attach(out, {x, gamma, beta},
            [self = out.get(), px = x.impl(), pg = gamma.impl(),
-            pb = beta.impl(), xhat = xhat.take(), invstd = invstd.take(), n,
-            c, hw, m, training]() {
+            pb = beta.impl(), xhat = std::move(xhat),
+            invstd = std::move(invstd), n, c, hw, m, training]() {
              for (std::size_t ci = 0; ci < c; ++ci) {
                // Per-channel reductions of dY and dY·x̂.
                double sum_dy = 0.0, sum_dy_xhat = 0.0;
@@ -157,9 +153,9 @@ Tensor layer_norm_lastdim(const Tensor& x, const Tensor& gamma,
     throw std::invalid_argument("layer_norm_lastdim: affine shape mismatch");
   const std::size_t rows = x.numel() / d;
 
-  ScratchBuffer xhat(x.numel());
-  ScratchBuffer invstd(rows);
-  std::vector<float> y = arena_buffer(x.numel());
+  std::vector<float> xhat(x.numel());
+  std::vector<float> invstd(rows);
+  std::vector<float> y(x.numel());
   for (std::size_t r = 0; r < rows; ++r) {
     const float* in = x.data().data() + r * d;
     double mu = 0.0;
@@ -187,8 +183,8 @@ Tensor layer_norm_lastdim(const Tensor& x, const Tensor& gamma,
   if (needs_grad({&x, &gamma, &beta})) {
     attach(out, {x, gamma, beta},
            [self = out.get(), px = x.impl(), pg = gamma.impl(),
-            pb = beta.impl(), xhat = xhat.take(), invstd = invstd.take(),
-            rows, d]() {
+            pb = beta.impl(), xhat = std::move(xhat),
+            invstd = std::move(invstd), rows, d]() {
              if (pg->requires_grad) pg->ensure_grad();
              if (pb->requires_grad) pb->ensure_grad();
              if (px->requires_grad) px->ensure_grad();

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "runtime/parallel_for.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/microkernels.hpp"
 #include "tensor/op_helpers.hpp"
 
@@ -141,14 +138,14 @@ void PlanRecorder::on_node(const std::shared_ptr<TensorImpl>& node, bool leaf) {
   if (sealed_ || !unsupported_.empty()) return;
   if (!leaf) {
     // Freshly created, not yet claimed by any op.  Holding the shared_ptr
-    // pins the node so the arena cannot recycle it (and hand the same
-    // pointer to a later op) while the recording is alive.
+    // pins the node so its address cannot be reused by a later node while
+    // the recording is alive.
     pending_.emplace(node.get(), node);
     return;
   }
   // Tensor::from_data without autograd: a constant of this (model, shape)
-  // key.  Snapshot the payload by value so no arena slot stays pinned once
-  // the plan is sealed.
+  // key.  Snapshot the payload by value so the sealed plan does not keep
+  // the node alive.
   pending_.erase(node.get());
   if (value_of_.count(node.get())) return;
   const int id = add_value(node->shape, ValueKind::kConstant);
@@ -231,14 +228,15 @@ void PlanRecorder::fuse_chains(int output_value, std::vector<int>& consumers) {
       FusedOp f;
       if (next.kind == OpKind::kBatchNorm2dEval && host.fused.empty()) {
         // Only directly after the conv (before any activation), and only
-        // with constant affine parameters.
-        if (next.in.size() != 3 ||
-            values_[static_cast<std::size_t>(next.in[1])].kind !=
-                ValueKind::kConstant ||
-            values_[static_cast<std::size_t>(next.in[2])].kind !=
-                ValueKind::kConstant)
+        // with constant affine parameters and running stats.
+        const auto constant = [&](int v) {
+          return values_[static_cast<std::size_t>(v)].kind ==
+                 ValueKind::kConstant;
+        };
+        if (next.in.size() != 5 ||
+            !std::all_of(next.in.begin() + 1, next.in.end(), constant))
           break;
-        f.extra = {next.in[1], next.in[2]};
+        f.extra.assign(next.in.begin() + 1, next.in.end());
       } else if (next.kind == OpKind::kRelu ||
                  next.kind == OpKind::kLeakyRelu ||
                  next.kind == OpKind::kSigmoid ||
@@ -409,8 +407,8 @@ std::shared_ptr<const InferencePlan> PlanRecorder::seal(const Tensor& output) {
     plan_memory(*plan, out_id);
   }
   // Drop every pin: recorded constants were snapshotted by value, so the
-  // only nodes the plan keeps alive are external weights (ValueInfo::
-  // pinned), which live outside any arena.
+  // only nodes the plan keeps alive are external weights and batch-norm
+  // running stats (ValueInfo::pinned).
   pins_.clear();
   pending_.clear();
   value_of_.clear();
@@ -511,8 +509,8 @@ Tensor PlanExecutor::run(const Tensor& circuit, const Tensor& tokens) {
 
   const auto out = static_cast<std::size_t>(plan_->output_value());
   const float* res = src_[out];
-  std::vector<float> buf = arena_buffer_copy(res, res + values[out].numel);
-  return Tensor::from_data(values[out].shape, std::move(buf));
+  return Tensor::from_data(values[out].shape,
+                           std::vector<float>(res, res + values[out].numel));
 }
 
 void PlanExecutor::exec_step(const Step& s) {
@@ -760,14 +758,15 @@ void PlanExecutor::exec_step(const Step& s) {
       const float* a = in(0);
       const float* gamma = in(1);
       const float* beta = in(2);
-      const float* mean = s.attrs.snapshot.data();
-      const float* invstd = s.attrs.snapshot.data() + c;
+      const float* mean = in(3);
+      const float* var = in(4);
+      const float eps = s.attrs.f0;
       for (std::size_t ni = 0; ni < n; ++ni)
         for (std::size_t ci = 0; ci < c; ++ci) {
           const float* ip = a + (ni * c + ci) * hw;
           float* op = o + (ni * c + ci) * hw;
           const float mu = mean[ci];
-          const float is = invstd[ci];
+          const float is = 1.0f / std::sqrt(var[ci] + eps);
           const float gm = gamma[ci];
           const float bt = beta[ci];
           for (std::size_t i = 0; i < hw; ++i) {
@@ -898,12 +897,13 @@ void PlanExecutor::exec_conv2d(const Step& s) {
             for (const FusedOp& f : s.fused) {
               switch (f.kind) {
                 case OpKind::kBatchNorm2dEval: {
-                  const float mu = f.attrs.snapshot[c];
-                  const float is = f.attrs.snapshot[cout + c];
-                  const float gm =
-                      src_[static_cast<std::size_t>(f.extra[0])][c];
-                  const float bt =
-                      src_[static_cast<std::size_t>(f.extra[1])][c];
+                  const auto param = [&](std::size_t q) {
+                    return src_[static_cast<std::size_t>(f.extra[q])][c];
+                  };
+                  const float gm = param(0);
+                  const float bt = param(1);
+                  const float mu = param(2);
+                  const float is = 1.0f / std::sqrt(param(3) + f.attrs.f0);
                   for (std::size_t i = 0; i < spatial; ++i) {
                     const float xh = (dstp[i] - mu) * is;
                     dstp[i] = gm * xh + bt;
@@ -1009,16 +1009,6 @@ void PlanExecutor::exec_conv_transpose2d(const Step& s) {
 // ---------------------------------------------------------------------------
 // PlanRuntime
 
-bool plan_enabled_from_env() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("LMMIR_INFER_PLAN");
-    return v && std::string_view(v) != "0";
-  }();
-  return enabled;
-}
-
-PlanRuntime::PlanRuntime(bool enabled) : enabled_(enabled) {}
-
 std::size_t PlanRuntime::ShapeKeyHash::operator()(const ShapeKey& k) const {
   // FNV-1a over the packed dims.
   std::size_t h = 1469598103934665603ull;
@@ -1052,24 +1042,22 @@ Tensor PlanRuntime::run(const Tensor& circuit, const Tensor& tokens,
 
   if (circuit.defined() && !recording_active()) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (enabled_) {
-      key = make_key(circuit, tokens);
-      Entry& e = entries_[key];
-      if (e.state == State::kEmpty) {
-        // This thread claims the one recording pass for this shape key;
-        // concurrent requests for the same key run eager meanwhile.
-        e.state = State::kRecording;
-        act = Action::kRecord;
-      } else if (e.state == State::kSealed) {
-        plan = e.plan;
-        if (!e.pool.empty()) {
-          exec = std::move(e.pool.back());
-          e.pool.pop_back();
-        }
-        act = Action::kReplay;
+    key = make_key(circuit, tokens);
+    Entry& e = entries_[key];
+    if (e.state == State::kEmpty) {
+      // This thread claims the one recording pass for this shape key;
+      // concurrent requests for the same key run eager meanwhile.
+      e.state = State::kRecording;
+      act = Action::kRecord;
+    } else if (e.state == State::kSealed) {
+      plan = e.plan;
+      if (!e.pool.empty()) {
+        exec = std::move(e.pool.back());
+        e.pool.pop_back();
       }
-      // kRecording / kUnsupported: eager.
+      act = Action::kReplay;
     }
+    // kRecording / kUnsupported: eager.
   }
 
   if (act == Action::kReplay) {
@@ -1121,16 +1109,6 @@ Tensor PlanRuntime::run(const Tensor& circuit, const Tensor& tokens,
     ++stats_.eager_runs;
   }
   return out;
-}
-
-bool PlanRuntime::enabled() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return enabled_;
-}
-
-void PlanRuntime::set_enabled(bool on) {
-  std::lock_guard<std::mutex> lk(mu_);
-  enabled_ = on;
 }
 
 RuntimeStats PlanRuntime::stats() const {

@@ -3,9 +3,11 @@
 // planning, fused replay kernels.
 //
 // The model's eval-mode forward graph is static per batch shape, yet the
-// eager path re-pays dynamic op dispatch, per-request arena bookkeeping
-// (slot scans, free-list lookups) and unfused conv→norm→activation chains
-// on every request.  A plan compiles that work away:
+// eager path re-pays dynamic op dispatch, a heap allocation per
+// intermediate and unfused conv→norm→activation chains on every request.
+// Plans are the inference path (IrModel::predict); the eager forward
+// records them, trains, and serves shape keys a plan cannot cover.  A plan
+// compiles that work away:
 //
 //   1. RECORD — one eager forward runs inside a RecordScope.  A
 //      thread-local hook in detail::make_node observes every node the
@@ -27,20 +29,21 @@
 //      tensor/microkernels.hpp GEMMs.  Replay mirrors the eager kernels'
 //      per-element arithmetic exactly (fusion applies the same formulas
 //      in place, the AVX2 GEMM is mul+add per element, never FMA), so
-//      plan-on output is bitwise identical to eager at any thread count —
+//      replay is bitwise identical to eager at any thread count —
 //      tests/test_plan.cpp and bench_serve_throughput gate this.
 //
 // Recording contract (docs/PLAN.md): eval mode only — batch-norm training
 // and active dropout refuse to record; from_data/full/zeros inside a
 // recorded forward freeze as constants of the (model, batch-shape) key;
-// weights are referenced live (a plan follows in-place weight updates but
-// NOT weight-shape changes).  PlanRuntime caches one sealed plan per
+// weights and batch-norm running stats are referenced live (a plan follows
+// optimizer steps, training-mode stat updates and checkpoint loads, all of
+// which write in place, but NOT shape changes).  PlanRuntime caches one
+// sealed plan per
 // input-shape key and hands replays to a pool of executors; shape changes
 // simply record a new plan, and a replay fed mismatched shapes throws
 // std::logic_error.
 //
-// Env: LMMIR_INFER_PLAN=1 opts the serving/prediction layers in (default
-// off, read once); LMMIR_SIMD=0 forces the scalar GEMM (microkernels.hpp).
+// Env: LMMIR_SIMD=0 forces the scalar GEMM (microkernels.hpp).
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -89,18 +92,16 @@ const char* op_kind_name(OpKind kind);
 
 /// Small attribute bag carried by a recorded step.  Meaning is per-op
 /// (e.g. conv2d: i0=stride, i1=pad_h, i2=pad_w, i3=has_bias; scale:
-/// f0=factor).  `snapshot` holds values captured by value at record time
-/// (batch-norm eval per-channel mean followed by invstd).
+/// f0=factor; batch-norm eval: f0=eps).
 struct OpAttrs {
   int i0 = 0, i1 = 0, i2 = 0, i3 = 0;
   float f0 = 0.0f;
-  std::vector<float> snapshot;
 };
 
 enum class ValueKind : std::uint8_t {
   kCircuitInput,  // bound per replay: the circuit tensor
   kTokenInput,    // bound per replay: the tokens tensor
-  kConstant,      // weight (pinned live node) or recorded snapshot
+  kConstant,      // weight / running stat (pinned live node) or snapshot
   kTemp,          // planned into the flat arena
 };
 
@@ -108,10 +109,10 @@ struct ValueInfo {
   Shape shape;
   std::size_t numel = 0;
   ValueKind kind = ValueKind::kTemp;
-  /// Constant payload: external nodes (model weights) stay pinned and are
-  /// read live at replay; constants materialized during the recorded
-  /// forward (Tensor::full / from_data) are snapshotted by value instead,
-  /// so no arena slot stays pinned after seal.
+  /// Constant payload: external nodes (model weights, batch-norm running
+  /// stats) stay pinned and are read live at replay; constants
+  /// materialized during the recorded forward (Tensor::full / from_data)
+  /// are snapshotted by value instead.
   std::shared_ptr<const TensorImpl> pinned;
   std::vector<float> snapshot;
   bool eliminated = false;  // fused away; gets no arena storage
@@ -121,7 +122,8 @@ struct ValueInfo {
 struct FusedOp {
   OpKind kind = OpKind::kRelu;
   OpAttrs attrs;
-  std::vector<int> extra;  // extra value ids (batch-norm gamma, beta)
+  std::vector<int> extra;  // extra value ids (batch-norm gamma, beta,
+                           // running mean, running var)
 };
 
 struct Step {
@@ -281,9 +283,8 @@ inline void record_unsupported(const char* why) {
 
 /// Replays a sealed plan over one flat arena.  One executor services one
 /// replay at a time (PlanRuntime pools them); the flat arena and the
-/// im2col scratch are allocated once at construction, so steady-state
-/// replay performs zero tensor heap allocations (the output node itself
-/// recycles through the caller's TensorArena when one is installed).
+/// im2col scratch are allocated once at construction, so a replay
+/// allocates only its output tensor, never per recorded step.
 class PlanExecutor {
  public:
   explicit PlanExecutor(std::shared_ptr<const InferencePlan> plan);
@@ -315,27 +316,17 @@ struct RuntimeStats {
                                       // (recording passes included)
 };
 
-/// Read-once LMMIR_INFER_PLAN: "1" (any non-"0") opts in, default off.
-bool plan_enabled_from_env();
-
 /// Thread-safe plan cache keyed on input batch shape, with a per-plan
-/// executor pool.  One runtime per model or per server; every forward
-/// goes through run(), which records on first sight of a shape key,
-/// replays once sealed, and falls back to `eager` while another thread
-/// records, when the key is unsupported, or when the runtime is disabled.
+/// executor pool.  One runtime per model (IrModel::predict); every
+/// inference forward goes through run(), which records on first sight of
+/// a shape key, replays once sealed, and falls back to `eager` while
+/// another thread records or when the key is unsupported.
 class PlanRuntime {
  public:
   using EagerFn = std::function<Tensor(const Tensor&, const Tensor&)>;
 
-  explicit PlanRuntime(bool enabled = plan_enabled_from_env());
-
   Tensor run(const Tensor& circuit, const Tensor& tokens,
              const EagerFn& eager);
-
-  bool enabled() const;
-  /// Toggle at a quiescent moment; cached plans survive a disable/enable
-  /// cycle.
-  void set_enabled(bool on);
 
   RuntimeStats stats() const;
 
@@ -364,7 +355,6 @@ class PlanRuntime {
   static ShapeKey make_key(const Tensor& circuit, const Tensor& tokens);
 
   mutable std::mutex mu_;
-  bool enabled_;
   std::unordered_map<ShapeKey, Entry, ShapeKeyHash> entries_;
   RuntimeStats stats_;
 };

@@ -1,12 +1,9 @@
 #include "tensor/tensor.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
-
-#include "tensor/arena.hpp"
 
 namespace lmmir::tensor {
 
@@ -48,19 +45,12 @@ NoGradGuard::~NoGradGuard() { g_grad_enabled = saved_; }
 bool grad_enabled() { return g_grad_enabled; }
 
 Tensor Tensor::zeros(const Shape& shape, bool requires_grad) {
-  return from_data(shape, arena_buffer(shape_numel(shape)), requires_grad);
+  return full(shape, 0.0f, requires_grad);
 }
 
 Tensor Tensor::full(const Shape& shape, float value, bool requires_grad) {
-  const std::size_t n = shape_numel(shape);
-  std::vector<float> data;
-  if (TensorArena* a = active_arena(); a && !grad_enabled()) {
-    data = a->acquire_unfilled(n);
-    std::fill(data.begin(), data.end(), value);
-  } else {
-    data.assign(n, value);
-  }
-  return from_data(shape, std::move(data), requires_grad);
+  return from_data(shape, std::vector<float>(shape_numel(shape), value),
+                   requires_grad);
 }
 
 Tensor Tensor::from_data(const Shape& shape, std::vector<float> data,
@@ -74,8 +64,7 @@ Tensor Tensor::from_data(const Shape& shape, std::vector<float> data,
                                 std::to_string(data.size()));
   std::shared_ptr<TensorImpl> impl;
   if (requires_grad) {
-    // Parameters and leaf variables outlive any request: always owning,
-    // never arena-recycled.
+    // Parameters and leaf variables are never plan constants.
     impl = std::make_shared<TensorImpl>();
     impl->shape = shape;
     impl->data = std::move(data);
@@ -146,9 +135,7 @@ void Tensor::backward() {
 void Tensor::zero_grad() { impl_->grad.clear(); }
 
 Tensor Tensor::detach() const {
-  std::vector<float> copy = arena_buffer_copy(
-      impl_->data.data(), impl_->data.data() + impl_->data.size());
-  return Tensor::from_data(impl_->shape, std::move(copy), false);
+  return Tensor::from_data(impl_->shape, impl_->data, false);
 }
 
 namespace detail {
@@ -163,16 +150,9 @@ NodeHook node_hook() { return g_node_hook; }
 std::shared_ptr<TensorImpl> make_node(Shape shape, std::vector<float> data) {
   if (data.size() != shape_numel(shape))
     throw std::invalid_argument("make_node: size mismatch");
-  // Inference nodes (arena installed, tape off) recycle through the
-  // arena; everything else gets an owning allocation as before.
-  std::shared_ptr<TensorImpl> impl;
-  if (TensorArena* a = active_arena(); a && !grad_enabled()) {
-    impl = a->make_node(std::move(shape), std::move(data));
-  } else {
-    impl = std::make_shared<TensorImpl>();
-    impl->shape = std::move(shape);
-    impl->data = std::move(data);
-  }
+  auto impl = std::make_shared<TensorImpl>();
+  impl->shape = std::move(shape);
+  impl->data = std::move(data);
   if (NodeHook h = g_node_hook) h(impl, /*leaf=*/false);
   return impl;
 }

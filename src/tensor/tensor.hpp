@@ -8,10 +8,8 @@
 //    node; `backward()` runs a topological sweep;
 //  - closures are only recorded when gradients can flow (any input requires
 //    grad and grad mode is enabled), so inference builds no tape;
-//  - under NoGradGuard with a thread-local tensor::ArenaScope installed,
-//    output nodes and buffers recycle through a TensorArena instead of
-//    the heap (see tensor/arena.hpp and docs/TENSOR.md); training and
-//    requires_grad tensors always use owning allocations.
+//  - every node owns its storage (docs/TENSOR.md); inference replays a
+//    recorded plan over one preplanned buffer instead (tensor/plan.hpp).
 #include <cstddef>
 #include <functional>
 #include <initializer_list>

@@ -1,15 +1,17 @@
 // Ahead-of-time inference plans: the differential eager-vs-plan harness.
 //
 // The contract under test (docs/PLAN.md): replaying a recorded plan is
-// BITWISE identical to the eager forward that recorded it — for every
-// batch size, thread count and arena mode — and steady-state replay
-// performs zero tensor heap allocations.  Plus the structural
-// guarantees: liveness-sound buffer offsets, conv→bn→act fusion,
-// im2col reuse, immutable sealed plans, per-shape plan caching with
-// permanent eager fallback for unsupported recordings.
+// BITWISE identical to the eager forward — for every batch size and
+// thread count, on inputs other than the recording one, and after the
+// model's weights or batch-norm statistics change in place (training,
+// checkpoint loads).  Plus the structural guarantees: liveness-sound
+// buffer offsets, conv→bn→act fusion, im2col reuse, immutable sealed
+// plans, per-shape plan caching with permanent eager fallback for
+// unsupported recordings.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -17,9 +19,10 @@
 #include <vector>
 
 #include "models/registry.hpp"
+#include "nn/optim.hpp"
+#include "nn/serialize.hpp"
 #include "pointcloud/pool.hpp"
 #include "runtime/thread_pool.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
 #include "util/rng.hpp"
@@ -68,8 +71,8 @@ struct TinyPlanNet {
   Tensor bc = Tensor::from_data({kTinyF}, patterned(kTinyF, 0.02f, 2));
   Tensor gamma = Tensor::from_data({kTinyF}, {1.0f, 0.9f, 1.1f, 1.05f});
   Tensor beta = Tensor::from_data({kTinyF}, {0.01f, -0.02f, 0.0f, 0.03f});
-  std::vector<float> rm = {0.05f, -0.1f, 0.0f, 0.2f};
-  std::vector<float> rv = {1.0f, 0.8f, 1.2f, 0.9f};
+  Tensor rm = Tensor::from_data({kTinyF}, {0.05f, -0.1f, 0.0f, 0.2f});
+  Tensor rv = Tensor::from_data({kTinyF}, {1.0f, 0.8f, 1.2f, 0.9f});
   Tensor wl = Tensor::from_data(
       {kTinyOut, kTinyF * kTinySide * kTinySide},
       patterned(kTinyOut * kTinyF * kTinySide * kTinySide, 0.01f, 3));
@@ -98,7 +101,7 @@ Tensor tiny_input(int batch) {
 
 TEST(PlanRecord, RecordsOnceThenReplaysBitwise) {
   TinyPlanNet net;
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   const Tensor x = tiny_input(2);
 
   tensor::NoGradGuard no_grad;
@@ -121,14 +124,14 @@ TEST(PlanRecord, RecordsOnceThenReplaysBitwise) {
   EXPECT_FALSE(p->has_tokens());
 }
 
-// The core differential sweep: batch sizes x thread counts x arena modes,
-// plan on and off, all bitwise equal to the serial no-arena eager
-// reference (and therefore to each other).
+// The core differential sweep: batch sizes x thread counts, recording
+// pass and replays all bitwise equal to the serial eager reference (and
+// therefore to each other).
 TEST(PlanDifferential, TinyNetSweepBitwiseAcrossConfigs) {
   TinyPlanNet net;
   for (int batch : {1, 2, 3}) {
     const Tensor x = tiny_input(batch);
-    // Reference: eager, one thread, no arena, no plan.
+    // Reference: eager, one thread, no plan.
     runtime::set_global_threads(1);
     std::vector<float> ref;
     {
@@ -139,27 +142,21 @@ TEST(PlanDifferential, TinyNetSweepBitwiseAcrossConfigs) {
 
     for (std::size_t threads : {1u, 4u, 8u}) {
       runtime::set_global_threads(threads);
-      for (bool use_arena : {false, true}) {
-        tensor::TensorArena arena;
-        plan::PlanRuntime rt(true);
-        for (int pass = 0; pass < 3; ++pass) {  // record, then two replays
-          std::vector<float> got;
-          {
-            tensor::NoGradGuard no_grad;
-            tensor::ArenaScope scope(use_arena ? &arena : nullptr);
-            got = rt.run(x, Tensor(), net.fn()).data();
-          }
-          if (use_arena) arena.reset();
-          ASSERT_EQ(got.size(), ref.size());
-          for (std::size_t i = 0; i < ref.size(); ++i)
-            ASSERT_EQ(got[i], ref[i])
-                << "batch=" << batch << " threads=" << threads
-                << " arena=" << use_arena << " pass=" << pass
-                << " diverged at " << i;
-          ASSERT_EQ(fnv1a(got), ref_sum);
+      plan::PlanRuntime rt;
+      for (int pass = 0; pass < 3; ++pass) {  // record, then two replays
+        std::vector<float> got;
+        {
+          tensor::NoGradGuard no_grad;
+          got = rt.run(x, Tensor(), net.fn()).data();
         }
-        EXPECT_EQ(rt.stats().replays, 2u);
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+          ASSERT_EQ(got[i], ref[i])
+              << "batch=" << batch << " threads=" << threads
+              << " pass=" << pass << " diverged at " << i;
+        ASSERT_EQ(fnv1a(got), ref_sum);
       }
+      EXPECT_EQ(rt.stats().replays, 2u);
     }
   }
   runtime::set_global_threads(1);
@@ -174,7 +171,7 @@ TEST(PlanDifferential, GoldenChecksums) {
                                    0xfec80fc6e5996232ull,
                                    0xc3810cbfca26c8baull};
   TinyPlanNet net;
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   tensor::NoGradGuard no_grad;
   for (int batch : {1, 2, 3}) {
     const Tensor x = tiny_input(batch);
@@ -191,73 +188,165 @@ TEST(PlanDifferential, GoldenChecksums) {
   }
 }
 
-// Every registry model must record a supported plan and replay it
-// bitwise, across thread counts and arena modes (the models cover both
-// channel counts: contest-3 and the full feature stack).
+// Every registry model must record a supported plan through
+// IrModel::predict and replay it bitwise equal to eager forward, across
+// thread counts and batch sizes (the models cover both channel counts:
+// contest-3 and the full feature stack).  Only the first input of each
+// batch size records; the others replay, so a data-dependent constant
+// frozen into a plan would diverge here.
 TEST(PlanDifferential, RegistryModelsRecordSupportedPlansAndReplayBitwise) {
   constexpr int kSide = 16;
   constexpr int kTokens = 9;
+  constexpr int kInputs = 4;
   for (const auto& spec : models::model_registry()) {
     auto model = spec.make(11);
     model->set_training(false);
     const bool full_sweep = spec.name == "LMM-IR";
-
-    util::Rng rng(117);
-    const Tensor circuit = Tensor::randn(
-        {1, model->in_channels(), kSide, kSide}, rng, 0.5f);
-    const Tensor tokens =
-        Tensor::randn({1, kTokens, pc::kTokenFeatureDim}, rng, 0.5f);
-
-    runtime::set_global_threads(1);
-    std::vector<float> ref;
-    {
-      tensor::NoGradGuard no_grad;
-      ref = model->forward(circuit, tokens).data();
-    }
-
-    plan::PlanRuntime rt(true);
-    auto fn = [&](const Tensor& c, const Tensor& t) {
-      return model->forward(c, t);
-    };
     const auto threads = full_sweep ? std::vector<std::size_t>{1, 4, 8}
                                     : std::vector<std::size_t>{1, 4};
-    for (std::size_t t : threads) {
-      runtime::set_global_threads(t);
-      for (bool use_arena : {true, false}) {
-        if (!full_sweep && !use_arena) continue;
-        tensor::TensorArena arena;
-        std::vector<float> got;
-        {
-          tensor::NoGradGuard no_grad;
-          tensor::ArenaScope scope(use_arena ? &arena : nullptr);
-          got = rt.run(circuit, tokens, fn).data();
-        }
-        if (use_arena) arena.reset();
-        ASSERT_EQ(got.size(), ref.size()) << spec.name;
-        for (std::size_t i = 0; i < ref.size(); ++i)
-          ASSERT_EQ(got[i], ref[i])
-              << spec.name << " threads=" << t << " arena=" << use_arena
-              << " diverged at " << i;
+    util::Rng rng(117);
+    std::size_t predicts = 0;
+    for (int batch : {1, 2}) {
+      std::vector<Tensor> circuits, tokens;
+      std::vector<std::vector<float>> refs;
+      runtime::set_global_threads(1);
+      for (int i = 0; i < kInputs; ++i) {
+        circuits.push_back(Tensor::randn(
+            {batch, model->in_channels(), kSide, kSide}, rng, 0.5f));
+        tokens.push_back(
+            Tensor::randn({batch, kTokens, pc::kTokenFeatureDim}, rng, 0.5f));
+        tensor::NoGradGuard no_grad;
+        refs.push_back(model->forward(circuits.back(), tokens.back()).data());
       }
+      for (std::size_t t : threads) {
+        runtime::set_global_threads(t);
+        for (int i = 0; i < kInputs; ++i) {
+          const std::vector<float> got =
+              model->predict(circuits[static_cast<std::size_t>(i)],
+                             tokens[static_cast<std::size_t>(i)])
+                  .data();
+          ++predicts;
+          const std::vector<float>& ref = refs[static_cast<std::size_t>(i)];
+          ASSERT_EQ(got.size(), ref.size()) << spec.name;
+          for (std::size_t j = 0; j < ref.size(); ++j)
+            ASSERT_EQ(got[j], ref[j])
+                << spec.name << " batch=" << batch << " threads=" << t
+                << " input=" << i << " diverged at " << j;
+        }
+      }
+      auto p = model->plan_runtime().plan_for(circuits[0], tokens[0]);
+      ASSERT_NE(p, nullptr) << spec.name;
+      EXPECT_TRUE(p->supported())
+          << spec.name << ": " << p->unsupported_reason();
     }
-    auto p = rt.plan_for(circuit, tokens);
-    ASSERT_NE(p, nullptr) << spec.name;
-    EXPECT_TRUE(p->supported())
-        << spec.name << ": " << p->unsupported_reason();
-    // Every run after the recording pass must be a replay.
-    const std::size_t runs = full_sweep ? threads.size() * 2 : threads.size();
-    EXPECT_EQ(rt.stats().replays, runs - 1) << spec.name;
-    EXPECT_EQ(rt.stats().eager_runs, 1u) << spec.name;
-    EXPECT_EQ(rt.stats().plans_recorded, 1u) << spec.name;
+    // One recording pass per batch size; every other call replayed.
+    const plan::RuntimeStats st = model->plan_runtime().stats();
+    EXPECT_EQ(st.plans_recorded, 2u) << spec.name;
+    EXPECT_EQ(st.eager_runs, 2u) << spec.name;
+    EXPECT_EQ(st.replays, predicts - 2) << spec.name;
   }
   runtime::set_global_threads(1);
+}
+
+// ---- plans follow in-place model-state changes ----------------------------
+
+constexpr int kStaleSide = 16;
+constexpr int kStaleTokens = 9;
+
+struct StaleInput {
+  Tensor circuit, tokens;
+};
+
+StaleInput stale_input(const models::IrModel& model, int batch,
+                       std::uint64_t seed) {
+  util::Rng rng(seed);
+  StaleInput in;
+  in.circuit = Tensor::randn(
+      {batch, model.in_channels(), kStaleSide, kStaleSide}, rng, 0.5f);
+  in.tokens =
+      Tensor::randn({batch, kStaleTokens, pc::kTokenFeatureDim}, rng, 0.5f);
+  return in;
+}
+
+std::vector<float> eager(models::IrModel& model, const StaleInput& in) {
+  tensor::NoGradGuard no_grad;
+  return model.forward(in.circuit, in.tokens).data();
+}
+
+/// Training-mode forwards (moving the batch-norm running statistics) and
+/// optimizer steps (moving the weights), as train::fit would run them.
+void train_steps(models::IrModel& model, int steps) {
+  model.set_training(true);
+  nn::Sgd opt(model.parameters(), 0.05f);
+  for (int i = 0; i < steps; ++i) {
+    const StaleInput in = stale_input(model, 2, 900 + static_cast<unsigned>(i));
+    opt.zero_grad();
+    tensor::mean_all(model.forward(in.circuit, in.tokens)).backward();
+    opt.step();
+  }
+  model.set_training(false);
+}
+
+TEST(PlanStaleness, PredictAfterTrainingMatchesEager) {
+  auto model = models::make_model("LMM-IR", 11);
+  model->set_training(false);
+  const StaleInput in = stale_input(*model, 1, 5);
+  const std::vector<float> before = model->predict(in.circuit, in.tokens).data();
+  ASSERT_EQ(before, eager(*model, in));  // the recording pass
+
+  train_steps(*model, 3);
+  const std::vector<float> after = model->predict(in.circuit, in.tokens).data();
+  EXPECT_EQ(after, eager(*model, in));
+  EXPECT_NE(after, before);  // training really moved the output
+  EXPECT_EQ(model->plan_runtime().stats().plans_recorded, 1u);
+  EXPECT_EQ(model->plan_runtime().stats().replays, 1u);
+}
+
+TEST(PlanStaleness, PredictAfterCheckpointLoadMatchesEager) {
+  // The donor starts from the same weights; its training moves both the
+  // weights and the batch-norm running statistics the checkpoint carries.
+  auto model = models::make_model("LMM-IR", 11);
+  auto donor = models::make_model("LMM-IR", 11);
+  train_steps(*donor, 2);
+  const std::string path = ::testing::TempDir() + "plan_staleness.ckpt";
+  nn::save_checkpoint(*donor, path);
+
+  model->set_training(false);
+  const StaleInput in = stale_input(*model, 2, 6);
+  const std::vector<float> before = model->predict(in.circuit, in.tokens).data();
+  nn::load_checkpoint(*model, path);
+  std::remove(path.c_str());
+  const std::vector<float> after = model->predict(in.circuit, in.tokens).data();
+  EXPECT_EQ(after, eager(*model, in));
+  EXPECT_EQ(after, eager(*donor, in));
+  EXPECT_NE(after, before);
+  EXPECT_EQ(model->plan_runtime().stats().replays, 1u);
+}
+
+TEST(PlanStaleness, TrainingModePredictRunsEagerAndRecordsNothing) {
+  // Training-mode batch norm normalizes with batch statistics, so the
+  // output does not depend on the running statistics it updates.
+  auto model = models::make_model("LMM-IR", 11);
+  model->set_training(true);
+  const StaleInput in = stale_input(*model, 2, 7);
+  EXPECT_EQ(model->predict(in.circuit, in.tokens).data(), eager(*model, in));
+  EXPECT_EQ(model->plan_runtime().plan_for(in.circuit, in.tokens), nullptr);
+  EXPECT_EQ(model->plan_runtime().stats().eager_runs, 0u);
+
+  model->set_training(false);
+  for (int i = 0; i < 2; ++i)  // record, then replay
+    EXPECT_EQ(model->predict(in.circuit, in.tokens).data(), eager(*model, in))
+        << "call " << i;
+  const plan::RuntimeStats st = model->plan_runtime().stats();
+  EXPECT_EQ(st.plans_recorded, 1u);
+  EXPECT_EQ(st.replays, 1u);
 }
 
 // ---- memory-plan properties ---------------------------------------------
 
 std::shared_ptr<const plan::InferencePlan> record_tiny_plan(int batch) {
   TinyPlanNet net;
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   tensor::NoGradGuard no_grad;
   const Tensor x = tiny_input(batch);
   rt.run(x, Tensor(), net.fn());
@@ -302,7 +391,7 @@ TEST(PlanMemory, SequentialChainReusesArenaSlots) {
   // Four equally-sized temps with strictly sequential lifetimes: the
   // planner must pack them into less storage than their sum (slots are
   // recycled as lifetimes end).  No conv, so fusion leaves all steps.
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   auto fn = [](const Tensor& c, const Tensor&) {
     return tensor::sigmoid(tensor::relu(tensor::sigmoid(tensor::relu(c))));
   };
@@ -352,7 +441,7 @@ TEST(PlanFusion, Im2colReuseForSameGeometrySiblingConvs) {
     return tensor::add(tensor::conv2d(c, w1, b, 1, 1),
                        tensor::conv2d(c, w2, b, 1, 1));
   };
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   tensor::NoGradGuard no_grad;
   const Tensor x = Tensor::from_data({1, 3, 6, 6}, patterned(108, 0.1f, 3));
   rt.run(x, Tensor(), fn);
@@ -409,7 +498,7 @@ TEST(PlanExecutor, ReplayAfterShapeChangeIsRejected) {
 
 TEST(PlanRuntime, EachShapeGetsItsOwnPlan) {
   TinyPlanNet net;
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   tensor::NoGradGuard no_grad;
   const Tensor x1 = tiny_input(1);
   const Tensor x2 = tiny_input(2);
@@ -434,11 +523,12 @@ TEST(PlanRuntime, UnsupportedRecordingFallsBackPermanently) {
   // cannot replay it, so the shape key must permanently run eager.
   Tensor gamma = Tensor::from_data({kTinyC}, {1.0f, 1.0f, 1.0f});
   Tensor beta = Tensor::from_data({kTinyC}, {0.0f, 0.0f, 0.0f});
-  std::vector<float> rm(kTinyC, 0.0f), rv(kTinyC, 1.0f);
+  Tensor rm = Tensor::zeros({kTinyC});
+  Tensor rv = Tensor::full({kTinyC}, 1.0f);
   auto fn = [&](const Tensor& c, const Tensor&) {
     return tensor::batch_norm2d(c, gamma, beta, rm, rv, /*training=*/true);
   };
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   tensor::NoGradGuard no_grad;
   const Tensor x = tiny_input(2);
   const std::vector<float> first = rt.run(x, Tensor(), fn).data();
@@ -458,7 +548,7 @@ TEST(PlanRuntime, UnsupportedRecordingFallsBackPermanently) {
 
 TEST(PlanRuntime, RecordingExceptionIsRetryable) {
   TinyPlanNet net;
-  plan::PlanRuntime rt(true);
+  plan::PlanRuntime rt;
   tensor::NoGradGuard no_grad;
   const Tensor x = tiny_input(1);
   int calls = 0;
@@ -474,54 +564,6 @@ TEST(PlanRuntime, RecordingExceptionIsRetryable) {
   const plan::RuntimeStats s = rt.stats();
   EXPECT_EQ(s.plans_recorded, 1u);
   EXPECT_EQ(s.replays, 1u);
-}
-
-TEST(PlanRuntime, DisabledRuntimeAlwaysRunsEager) {
-  TinyPlanNet net;
-  plan::PlanRuntime rt(false);
-  EXPECT_FALSE(rt.enabled());
-  tensor::NoGradGuard no_grad;
-  const Tensor x = tiny_input(1);
-  rt.run(x, Tensor(), net.fn());
-  rt.run(x, Tensor(), net.fn());
-  const plan::RuntimeStats s = rt.stats();
-  EXPECT_EQ(s.eager_runs, 2u);
-  EXPECT_EQ(s.plans_recorded, 0u);
-  EXPECT_EQ(s.replays, 0u);
-  EXPECT_EQ(rt.plan_for(x, Tensor()), nullptr);
-  // Flipping it on starts recording on the next call.
-  rt.set_enabled(true);
-  rt.run(x, Tensor(), net.fn());
-  rt.run(x, Tensor(), net.fn());
-  EXPECT_EQ(rt.stats().plans_recorded, 1u);
-  EXPECT_EQ(rt.stats().replays, 1u);
-}
-
-// ---- steady-state allocation discipline ---------------------------------
-
-TEST(PlanSteadyState, ReplayIsAllocationFreeThroughTheArena) {
-  TinyPlanNet net;
-  plan::PlanRuntime rt(true);
-  tensor::TensorArena arena;
-  const Tensor x = tiny_input(2);
-  auto once = [&] {
-    tensor::NoGradGuard no_grad;
-    tensor::ArenaScope scope(&arena);
-    const Tensor out = rt.run(x, Tensor(), net.fn());
-    ASSERT_EQ(out.dim(0), 2);
-  };
-  once();          // recording pass (eager, arena warms up)
-  arena.reset();
-  once();          // first replay: arena sees the replay-path shapes
-  arena.reset();
-  const std::size_t warm = arena.stats().heap_allocations();
-  for (int i = 0; i < 5; ++i) {
-    once();
-    arena.reset();
-    ASSERT_EQ(arena.stats().heap_allocations(), warm)
-        << "replay " << i << " allocated";
-  }
-  EXPECT_EQ(rt.stats().replays, 6u);
 }
 
 }  // namespace

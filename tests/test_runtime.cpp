@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -55,67 +53,6 @@ TEST(ThreadPool, InWorkerIsPoolSpecific) {
      EXPECT_TRUE(a.in_worker());
      EXPECT_FALSE(b.in_worker());
    }).get();
-}
-
-// ---- the generic per-worker init hook ---------------------------------
-
-TEST(WorkerInit, RunsOncePerWorkerBeforeJobsAndCleansUpOnJoin) {
-  std::mutex mu;
-  std::set<std::size_t> indices;
-  std::set<std::thread::id> init_threads;
-  std::atomic<int> inits{0}, cleanups{0};
-  std::atomic<bool> cleanup_on_init_thread{true};
-  {
-    ThreadPool pool(3, [&](std::size_t worker) -> runtime::WorkerCleanup {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        indices.insert(worker);
-        init_threads.insert(std::this_thread::get_id());
-      }
-      inits.fetch_add(1);
-      const std::thread::id init_tid = std::this_thread::get_id();
-      return [&, init_tid] {
-        if (std::this_thread::get_id() != init_tid)
-          cleanup_on_init_thread.store(false);
-        cleanups.fetch_add(1);
-      };
-    });
-    // The constructor waits for every init: all three ran already, each
-    // on its own worker thread, with distinct indices.
-    EXPECT_EQ(inits.load(), 3);
-    EXPECT_EQ(cleanups.load(), 0);
-    EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2}));
-    EXPECT_EQ(init_threads.size(), 3u);
-    pool.submit([] {}).get();
-  }
-  // Joining ran every cleanup, each on the thread that ran its init.
-  EXPECT_EQ(cleanups.load(), 3);
-  EXPECT_TRUE(cleanup_on_init_thread.load());
-}
-
-TEST(WorkerInit, ThrowingHookLeavesWorkerUsable) {
-  ThreadPool pool(2, [](std::size_t) -> runtime::WorkerCleanup {
-    throw std::runtime_error("init boom");
-  });
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 8; ++i)
-    futs.push_back(pool.submit([&] { ran.fetch_add(1); }));
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(WorkerInit, EmptyHookAndEmptyCleanupAreFine) {
-  ThreadPool a(2, runtime::WorkerInit{});
-  a.submit([] {}).get();
-  ThreadPool b(2, [](std::size_t) { return runtime::WorkerCleanup{}; });
-  b.submit([] {}).get();
-}
-
-TEST(WorkerInit, DefaultHookIsRegisteredByTensorLayer) {
-  // The tensor layer registers the env-gated arena installer at static
-  // init; the pool layer itself stays tensor-free.
-  EXPECT_TRUE(static_cast<bool>(runtime::default_worker_init()));
 }
 
 TEST(Latch, ReleasesWaiterAtZero) {

@@ -225,34 +225,39 @@ TEST(Serve, PipelineFacadeAndRestore) {
   EXPECT_EQ(map.cols(), static_cast<std::size_t>(kSide));
 }
 
-TEST(Serve, ArenaOnMatchesArenaOffBitwise) {
-  runtime::set_global_threads(1);
-  auto model = std::shared_ptr<models::IrModel>(models::make_model("LMM-IR"));
-  util::Rng rng(777);
-  std::vector<serve::PredictRequest> reqs;
-  for (int i = 0; i < 4; ++i)
-    reqs.push_back(make_request(rng, "arena" + std::to_string(i)));
+TEST(Serve, ServedMapsMatchEagerAcrossThreadsAndBatching) {
+  // Every registry model, served at batch 1 and batched, with the pool at
+  // 1 and 4 threads: each map equals the eager single-request forward,
+  // bitwise.  Only the first batch of each shape records; the rest replay
+  // the model's plan on inputs other than the recording input.
+  for (const auto& spec : models::model_registry()) {
+    auto model = std::shared_ptr<models::IrModel>(spec.make(11));
+    util::Rng rng(777);
+    std::vector<serve::PredictRequest> reqs;
+    for (int i = 0; i < 4; ++i)
+      reqs.push_back(make_request(rng, spec.name + std::to_string(i)));
+    std::vector<std::vector<float>> expected;
+    for (const auto& r : reqs)
+      expected.push_back(sequential_prediction(*model, r));
 
-  auto serve_all = [&](bool arena) {
-    serve::ServeOptions opts;
-    opts.use_tensor_arena = arena;
-    serve::InferenceServer server(model, opts);
-    std::vector<std::vector<float>> out;
-    for (const auto& r : reqs) out.push_back(server.predict(r).map.data());
-    if (!arena) {
-      const auto st = server.arena_stats();
-      EXPECT_EQ(st.node_allocs + st.node_reuses, 0u);  // really off
+    for (std::size_t threads : {1u, 4u}) {
+      runtime::set_global_threads(threads);
+      for (std::size_t max_batch : {1u, 4u}) {
+        serve::ServeOptions opts;
+        opts.max_batch = max_batch;
+        opts.max_wait_us = 200000;  // the four submits below fill a batch
+        serve::InferenceServer server(model, opts);
+        std::vector<std::future<serve::PredictResult>> futs;
+        for (const auto& r : reqs) futs.push_back(server.submit(r));
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+          EXPECT_EQ(futs[i].get().map.data(), expected[i])
+              << spec.name << " threads=" << threads
+              << " max_batch=" << max_batch << " request=" << i;
+      }
     }
-    return out;
-  };
-  const auto off = serve_all(false);
-  const auto on = serve_all(true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    ASSERT_EQ(off[i].size(), on[i].size());
-    for (std::size_t j = 0; j < off[i].size(); ++j)
-      ASSERT_EQ(off[i][j], on[i][j]) << "req " << i << " elem " << j;
+    EXPECT_GT(model->plan_runtime().stats().replays, 0u) << spec.name;
   }
+  runtime::set_global_threads(1);
 }
 
 TEST(ServeAdmission, ThroughputHelperGuardsDegenerateSpans) {
@@ -353,36 +358,6 @@ TEST(ServeAdmission, GenerousDeadlineIsHarmless) {
   EXPECT_EQ(server.stats().timed_out, 0u);
 }
 
-TEST(Serve, ArenaSteadyStateIsAllocationFree) {
-  runtime::set_global_threads(1);  // deterministic chunking / scratch use
-  auto model = std::shared_ptr<models::IrModel>(models::make_model("LMM-IR"));
-  util::Rng rng(778);
-  std::vector<serve::PredictRequest> reqs;
-  for (int i = 0; i < 3; ++i)
-    reqs.push_back(make_request(rng, "steady" + std::to_string(i)));
-
-  serve::ServeOptions opts;
-  opts.use_tensor_arena = true;
-  opts.max_batch = 1;        // every batch identical in shape
-  opts.worker_threads = 1;   // one dispatcher, one arena
-  serve::InferenceServer server(model, opts);
-
-  // Warm-up: one request populates the pools (all requests share shapes).
-  for (const auto& r : reqs) server.predict(r);
-  const auto warm = server.arena_stats();
-  EXPECT_GT(warm.heap_allocations(), 0u);
-  EXPECT_EQ(warm.live_nodes, 0u);  // everything returned between batches
-
-  for (int round = 0; round < 3; ++round)
-    for (const auto& r : reqs) server.predict(r);
-  const auto steady = server.arena_stats();
-  EXPECT_EQ(steady.heap_allocations(), warm.heap_allocations())
-      << "steady-state batches allocated tensor memory";
-  EXPECT_GT(steady.allocations_saved(), warm.allocations_saved());
-  EXPECT_EQ(steady.live_nodes, 0u);
-  EXPECT_EQ(steady.resets, warm.resets + 9u);  // one reset per batch
-}
-
 TEST(ServePlan, PlanReplayMatchesSequentialBitwiseAndCaches) {
   runtime::set_global_threads(1);
   auto model = std::shared_ptr<models::IrModel>(models::make_model("LMM-IR"));
@@ -396,7 +371,6 @@ TEST(ServePlan, PlanReplayMatchesSequentialBitwiseAndCaches) {
     expected.push_back(sequential_prediction(*model, r));
 
   serve::ServeOptions opts;
-  opts.use_inference_plan = true;
   opts.max_batch = 1;       // every batch shares one shape key
   opts.worker_threads = 1;
   serve::InferenceServer server(model, opts);
@@ -415,42 +389,10 @@ TEST(ServePlan, PlanReplayMatchesSequentialBitwiseAndCaches) {
   EXPECT_EQ(ps.replays, reqs.size() - 1);
 }
 
-TEST(ServePlan, PlanAndArenaComposeAllocationFree) {
-  // The two memory disciplines stack: plan replay through the dispatcher
-  // arena stays allocation-free in steady state, bitwise equal to eager.
-  runtime::set_global_threads(1);
-  auto model = std::shared_ptr<models::IrModel>(models::make_model("LMM-IR"));
-  util::Rng rng(556);
-  const serve::PredictRequest req = make_request(rng, "plan-arena");
-  const std::vector<float> expected = sequential_prediction(*model, req);
-
-  serve::ServeOptions opts;
-  opts.use_tensor_arena = true;
-  opts.use_inference_plan = true;
-  opts.max_batch = 1;
-  opts.worker_threads = 1;
-  serve::InferenceServer server(model, opts);
-  server.predict(req);  // recording pass (eager through the arena)
-  server.predict(req);  // first replay warms the replay-path shapes
-  const auto warm = server.arena_stats();
-  for (int i = 0; i < 4; ++i) {
-    const serve::PredictResult res = server.predict(req);
-    ASSERT_EQ(res.map.numel(), expected.size());
-    for (std::size_t j = 0; j < expected.size(); ++j)
-      ASSERT_EQ(res.map.data()[j], expected[j]) << "diverged at " << j;
-  }
-  const auto steady = server.arena_stats();
-  EXPECT_EQ(steady.heap_allocations(), warm.heap_allocations())
-      << "steady-state plan replays allocated tensor memory";
-  EXPECT_EQ(steady.live_nodes, 0u);
-  EXPECT_EQ(server.plan_stats().replays, 5u);
-}
-
 TEST(ServePlan, DistinctBatchShapesGetDistinctPlans) {
   runtime::set_global_threads(1);
   auto model = std::shared_ptr<models::IrModel>(models::make_model("IREDGe"));
   serve::ServeOptions opts;
-  opts.use_inference_plan = true;
   opts.max_wait_us = 0;  // no coalescing: deterministic batch shapes
   serve::InferenceServer server(model, opts);
   util::Rng rng(41);
@@ -469,30 +411,6 @@ TEST(ServePlan, DistinctBatchShapesGetDistinctPlans) {
   const tensor::plan::RuntimeStats ps = server.plan_stats();
   EXPECT_EQ(ps.plans_recorded, 2u);
   EXPECT_EQ(ps.replays, 2u);
-}
-
-TEST(ServePlan, PipelineFacadeOrWiresThePlanKnob) {
-  // The pipeline option is an OR with the per-server option (plans are
-  // opt-in): either switch alone turns them on.
-  core::PipelineOptions po;
-  po.inference_plan = true;
-  core::Pipeline pipe(po);
-  auto model = std::shared_ptr<models::IrModel>(models::make_model("IREDGe"));
-  auto on_by_pipeline = pipe.make_server(model);
-  EXPECT_TRUE(on_by_pipeline->options().use_inference_plan);
-
-  core::PipelineOptions po_off;
-  po_off.inference_plan = false;
-  core::Pipeline pipe_off(po_off);
-  serve::ServeOptions explicit_on;
-  explicit_on.use_inference_plan = true;
-  auto on_by_server = pipe_off.make_server(model, explicit_on);
-  EXPECT_TRUE(on_by_server->options().use_inference_plan);
-
-  serve::ServeOptions defaults;
-  defaults.use_inference_plan = false;
-  auto off = pipe_off.make_server(model, defaults);
-  EXPECT_FALSE(off->options().use_inference_plan);
 }
 
 }  // namespace

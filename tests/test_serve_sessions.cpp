@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "data/dataset.hpp"
 #include "features/maps.hpp"
 #include "gen/began.hpp"
 #include "models/registry.hpp"
@@ -65,6 +67,27 @@ std::vector<serve::ValueEdit> current_sweep(const std::string& text,
     if (els[i].type == spice::ElementType::CurrentSource)
       edits.push_back({i, els[i].value * factor});
   return edits;
+}
+
+/// The served map must equal the eager forward of `netlist`, bitwise.
+void expect_eager_map(models::IrModel& model, const spice::Netlist& netlist,
+                      const data::SampleOptions& sample,
+                      const serve::SessionResult& served, const char* what) {
+  const data::FeaturizedNetlist f = data::featurize_netlist(netlist, sample);
+  const auto& cs = f.circuit.shape();
+  const auto& ts = f.tokens.shape();
+  std::vector<float> eager;
+  {
+    tensor::NoGradGuard no_grad;
+    const tensor::Tensor circuit = data::slice_channels(
+        tensor::Tensor::from_data({1, cs[0], cs[1], cs[2]}, f.circuit.data()),
+        model.in_channels());
+    eager = model
+                .forward(circuit, tensor::Tensor::from_data(
+                                      {1, ts[0], ts[1]}, f.tokens.data()))
+                .data();
+  }
+  EXPECT_EQ(served.map.data(), eager) << what << " differs from eager";
 }
 
 TEST(SessionServer, RawNetlistRoundTripAndRevisionSemantics) {
@@ -142,6 +165,52 @@ TEST(SessionServer, MalformedRequestsAreTypedErrors) {
   bad_edit.session_id = "s";
   bad_edit.edits = {{1u << 30, 5.0}};
   EXPECT_THROW(server->submit(std::move(bad_edit)), std::out_of_range);
+}
+
+TEST(SessionServer, NonFiniteValuesAreTypedErrors) {
+  auto server = std::make_unique<serve::SessionServer>(tiny_model(),
+                                                       tiny_options());
+  // Raw SPICE whose current overflows to inf: a line-numbered parse error.
+  const std::string text = tiny_netlist_text(107);
+  EXPECT_THROW(
+      server->submit(full_request("inf", "Iinf n1_m1_0_0 0 1e308k\n" + text)),
+      std::runtime_error);
+
+  server->predict(full_request("nan", text));
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    serve::SessionRequest edit;
+    edit.session_id = "nan";
+    edit.edits = {{0, bad}};
+    EXPECT_THROW(server->submit(std::move(edit)), std::invalid_argument);
+  }
+}
+
+TEST(SessionServer, RejectedDeltaAppliesNoEdit) {
+  // Edits are validated before any is applied: a delta whose last edit is
+  // bad leaves the session at its previous revision and content.
+  auto server = std::make_unique<serve::SessionServer>(tiny_model(),
+                                                       tiny_options());
+  const std::string text = tiny_netlist_text(108);
+  const serve::SessionResult first = server->predict(full_request("d", text));
+
+  for (const serve::ValueEdit bad :
+       {serve::ValueEdit{0, std::numeric_limits<double>::quiet_NaN()},
+        serve::ValueEdit{1u << 30, 1.0}}) {
+    serve::SessionRequest delta;
+    delta.session_id = "d";
+    delta.edits = current_sweep(text, 3.0);
+    ASSERT_GE(delta.edits.size(), 2u);
+    delta.edits.push_back(bad);
+    EXPECT_ANY_THROW(server->submit(std::move(delta)));
+  }
+
+  serve::SessionRequest replay;
+  replay.session_id = "d";
+  const serve::SessionResult again = server->predict(std::move(replay));
+  EXPECT_EQ(again.revision, first.revision);
+  EXPECT_TRUE(again.revision_reuse);
+  EXPECT_EQ(again.map.data(), first.map.data());
 }
 
 TEST(SessionCache, LruEvictionOrder) {
@@ -305,38 +374,48 @@ TEST(SessionServer, PipelineFacadeWiresKnobs) {
 }
 
 TEST(SessionServer, InferencePlanReplaysAcrossRevisions) {
-  // With plans on, the first full-netlist request records; the session
-  // replay AND every delta revision hit the same batch-shape key (the
-  // featurized tensors keep their shapes across value edits), so they
-  // ride the recorded plan — with unchanged results.
+  // The first full-netlist request records; the session replay AND every
+  // delta revision hit the same batch-shape key (the featurized tensors
+  // keep their shapes across value edits), so they ride the recorded plan
+  // — each map bitwise equal to the eager forward of its revision, for
+  // every registry model at 1 and 4 pool threads.
   serve::SessionServeOptions opts = tiny_options();
-  opts.serve.use_inference_plan = true;
   opts.serve.max_batch = 1;
-  auto server = std::make_unique<serve::SessionServer>(tiny_model(), opts);
   const std::string text = tiny_netlist_text(151);
+  for (const auto& spec : models::model_registry())
+    for (std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(spec.name + " threads=" + std::to_string(threads));
+      runtime::set_global_threads(threads);
+      auto model = std::shared_ptr<models::IrModel>(spec.make(11));
+      auto server = std::make_unique<serve::SessionServer>(model, opts);
+      spice::Netlist netlist = spice::parse_netlist_string(text);
 
-  const serve::SessionResult first = server->predict(full_request("p", text));
-  serve::SessionRequest replay;
-  replay.session_id = "p";
-  replay.id = "p/replay";
-  const serve::SessionResult again = server->predict(std::move(replay));
-  ASSERT_EQ(again.map.numel(), first.map.numel());
-  for (std::size_t j = 0; j < first.map.numel(); ++j)
-    ASSERT_EQ(again.map.data()[j], first.map.data()[j])
-        << "plan replay changed the session-replay result at " << j;
+      const serve::SessionResult first =
+          server->predict(full_request("p", text));
+      expect_eager_map(*model, netlist, opts.sample, first, "first");
+      serve::SessionRequest replay;
+      replay.session_id = "p";
+      replay.id = "p/replay";
+      const serve::SessionResult again = server->predict(std::move(replay));
+      expect_eager_map(*model, netlist, opts.sample, again, "replay");
 
-  serve::SessionRequest delta;
-  delta.session_id = "p";
-  delta.id = "p/sweep";
-  delta.edits = current_sweep(text, 1.5);
-  const serve::SessionResult swept = server->predict(std::move(delta));
-  EXPECT_NE(swept.revision, first.revision);
+      serve::SessionRequest delta;
+      delta.session_id = "p";
+      delta.id = "p/sweep";
+      delta.edits = current_sweep(text, 1.5);
+      for (const serve::ValueEdit& e : delta.edits)
+        netlist.set_element_value(e.element_index, e.value);
+      const serve::SessionResult swept = server->predict(std::move(delta));
+      EXPECT_NE(swept.revision, first.revision);
+      expect_eager_map(*model, netlist, opts.sample, swept, "sweep");
 
-  const tensor::plan::RuntimeStats ps = server->server().plan_stats();
-  EXPECT_EQ(ps.plans_recorded, 1u);
-  EXPECT_EQ(ps.plans_unsupported, 0u);
-  EXPECT_EQ(ps.eager_runs, 1u);   // only the recording pass ran eagerly
-  EXPECT_GE(ps.replays, 1u);      // the delta revision replayed the plan
+      const tensor::plan::RuntimeStats ps = server->server().plan_stats();
+      EXPECT_EQ(ps.plans_recorded, 1u);
+      EXPECT_EQ(ps.plans_unsupported, 0u);
+      EXPECT_EQ(ps.eager_runs, 1u);  // only the recording pass ran eagerly
+      EXPECT_GE(ps.replays, 1u);     // the delta revision replayed the plan
+    }
+  runtime::set_global_threads(1);
 }
 
 TEST(SessionServer, ShutdownRacingThePlanRecordingPass) {
@@ -345,7 +424,6 @@ TEST(SessionServer, ShutdownRacingThePlanRecordingPass) {
   // yield either a clean result or a typed Shutdown rejection — never a
   // wedged recording entry, a crash, or a different exception.
   serve::SessionServeOptions opts = tiny_options();
-  opts.serve.use_inference_plan = true;
   auto server = std::make_unique<serve::SessionServer>(tiny_model(), opts);
   const std::string text = tiny_netlist_text(152);
 

@@ -1,6 +1,11 @@
 // spice: node-name grammar, value suffixes, parser, writer round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "spice/parser.hpp"
 #include "spice/writer.hpp"
 
@@ -36,8 +41,10 @@ TEST(NodeName, Ground) {
   EXPECT_FALSE(is_ground("n0_m0_0_0"));
 }
 
+// std::string, not const char*: gtest prints a char pointer with its address,
+// which would put a per-run address into each discovered test name.
 class SpiceValue
-    : public ::testing::TestWithParam<std::pair<const char*, double>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, double>> {};
 
 TEST_P(SpiceValue, ParsesSuffix) {
   const auto [text, expected] = GetParam();
@@ -61,6 +68,38 @@ TEST(SpiceValueNegative, RejectsGarbage) {
   EXPECT_FALSE(parse_spice_value("abc", v));
   EXPECT_FALSE(parse_spice_value("1.5q", v));
   EXPECT_FALSE(parse_spice_value("k", v));
+}
+
+TEST(SpiceValueNegative, RejectsNonFiniteResults) {
+  double v = 7.0;
+  EXPECT_FALSE(parse_spice_value("1e308k", v));  // finite mantissa, inf product
+  EXPECT_FALSE(parse_spice_value("inf", v));
+  EXPECT_FALSE(parse_spice_value("nan", v));
+  EXPECT_EQ(v, 7.0);  // untouched on rejection
+}
+
+TEST(Parser, NonFiniteValueIsALineNumberedParseError) {
+  try {
+    parse_netlist_string("R1 a b 1.0\nI1 a 0 1e308k\nV1 b 0 1.1\n");
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("spice parse error at line 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Netlist, SetElementValueRejectsNonFiniteWithoutNewRevision) {
+  Netlist nl = parse_netlist_string("R1 a b 1.0\nI1 a 0 1m\nV1 b 0 1.1\n");
+  const std::uint64_t revision = nl.revision();
+  for (std::size_t i = 0; i < nl.element_count(); ++i)
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()})
+      EXPECT_THROW(nl.set_element_value(i, bad), std::invalid_argument)
+          << "element " << i << " value " << bad;
+  EXPECT_EQ(nl.revision(), revision);
+  EXPECT_EQ(nl.elements()[1].value, 1e-3);
 }
 
 TEST(Parser, ParsesBasicNetlist) {

@@ -205,7 +205,8 @@ TEST(Autograd, BatchNormTraining) {
   expect_gradients_match(
       {x, gamma, beta},
       [target](const std::vector<Tensor>& in) {
-        std::vector<float> rm(2, 0.0f), rv(2, 1.0f);
+        auto rm = Tensor::zeros({2});
+        auto rv = Tensor::full({2}, 1.0f);
         auto y = ops::batch_norm2d(in[0], in[1], in[2], rm, rv,
                                    /*training=*/true);
         return ops::mse_loss(y, target);
@@ -218,14 +219,12 @@ TEST(Autograd, BatchNormEval) {
   auto x = rand_tensor({2, 2, 3, 3}, rng);
   auto gamma = rand_tensor({2}, rng);
   auto beta = rand_tensor({2}, rng);
-  std::vector<float> rm = {0.2f, -0.1f};
-  std::vector<float> rv = {1.5f, 0.7f};
+  auto rm = Tensor::from_data({2}, {0.2f, -0.1f});
+  auto rv = Tensor::from_data({2}, {1.5f, 0.7f});
   expect_gradients_match({x, gamma, beta},
                          [&rm, &rv](const std::vector<Tensor>& in) {
-                           auto rm_copy = rm;
-                           auto rv_copy = rv;
                            auto y = ops::batch_norm2d(in[0], in[1], in[2],
-                                                      rm_copy, rv_copy,
+                                                      rm, rv,
                                                       /*training=*/false);
                            return ops::mean_all(ops::mul(y, y));
                          });

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -249,7 +250,8 @@ TEST(Ops, BatchNormNormalizesTrainingBatch) {
   auto x = Tensor::randn({4, 2, 3, 3}, rng, 3.0f);
   auto gamma = Tensor::full({2}, 1.0f);
   auto beta = Tensor::zeros({2});
-  std::vector<float> rm(2, 0.0f), rv(2, 1.0f);
+  auto rm = Tensor::zeros({2});
+  auto rv = Tensor::full({2}, 1.0f);
   auto y = ops::batch_norm2d(x, gamma, beta, rm, rv, true);
   // Per-channel mean ~0, var ~1 after normalization.
   for (int c = 0; c < 2; ++c) {
@@ -274,7 +276,7 @@ TEST(Ops, BatchNormNormalizesTrainingBatch) {
     EXPECT_NEAR(var, 1.0, 1e-2);
   }
   // Running stats moved off their initial values.
-  EXPECT_NE(rm[0], 0.0f);
+  EXPECT_NE(rm.data()[0], 0.0f);
 }
 
 TEST(Ops, LayerNormRowsNormalized) {
@@ -331,6 +333,52 @@ TEST(Ops, ReductionValues) {
   auto t = Tensor::from_data({2, 2}, {1, 2, 3, 5});
   EXPECT_NEAR(ops::mse_loss(x, t).item(), 0.25f, 1e-6f);
   EXPECT_NEAR(ops::l1_loss(x, t).item(), 0.25f, 1e-6f);
+}
+
+// ---- NoGradGuard semantics ----------------------------------------------
+
+TEST(NoGradGuard, NestingRestoresCorrectly) {
+  ASSERT_TRUE(ops::grad_enabled());
+  {
+    ops::NoGradGuard outer;
+    EXPECT_FALSE(ops::grad_enabled());
+    {
+      ops::NoGradGuard inner;
+      EXPECT_FALSE(ops::grad_enabled());
+    }
+    // The inner guard must restore the *outer guard's* state, not the
+    // default: still disabled here.
+    EXPECT_FALSE(ops::grad_enabled());
+  }
+  EXPECT_TRUE(ops::grad_enabled());
+}
+
+TEST(NoGradGuard, ThreadLocalAcrossPoolWorkers) {
+  lmmir::runtime::ThreadPool pool(2);
+  ops::NoGradGuard no_grad;  // disables grad on THIS thread only
+  ASSERT_FALSE(ops::grad_enabled());
+
+  // A pool worker starts with its own thread-local default: enabled.
+  auto fut = pool.submit([] {
+    EXPECT_TRUE(ops::grad_enabled());
+    // A guard taken on the worker is scoped to the worker.
+    ops::NoGradGuard worker_guard;
+    EXPECT_FALSE(ops::grad_enabled());
+  });
+  fut.get();
+
+  // Neither the worker's default nor its guard leaked into the caller.
+  EXPECT_FALSE(ops::grad_enabled());
+  auto fut2 = pool.submit([] { EXPECT_TRUE(ops::grad_enabled()); });
+  fut2.get();
+}
+
+TEST(NoGradGuard, OpsRecordNoTapeUnderGuard) {
+  Tensor w = Tensor::full({2, 2}, 0.5f, /*requires_grad=*/true);
+  ops::NoGradGuard no_grad;
+  Tensor y = ops::mul(w, w);
+  EXPECT_FALSE(y.requires_grad());
+  EXPECT_TRUE(y.impl()->parents.empty());
 }
 
 }  // namespace

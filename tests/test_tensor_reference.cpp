@@ -113,7 +113,8 @@ TEST(BatchNormReference, EvalUsesRunningStats) {
   auto x = Tensor::randn({4, 3, 5, 5}, rng, 2.0f);
   auto gamma = Tensor::full({3}, 1.0f);
   auto beta = Tensor::zeros({3});
-  std::vector<float> rm(3, 0.0f), rv(3, 1.0f);
+  auto rm = Tensor::zeros({3});
+  auto rv = Tensor::full({3}, 1.0f);
   Tensor train_y;
   for (int i = 0; i < 200; ++i)
     train_y = ops::batch_norm2d(x, gamma, beta, rm, rv, true);
