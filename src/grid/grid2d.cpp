@@ -116,7 +116,7 @@ Grid2D Grid2D::normalized_minmax() const {
 }
 
 Grid2D Grid2D::blurred(float sigma) const {
-  if (sigma <= 0.0f) return *this;
+  if (sigma <= 0.0f || empty()) return *this;
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
   std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
   float ksum = 0.0f;
@@ -127,24 +127,36 @@ Grid2D Grid2D::blurred(float sigma) const {
   }
   for (auto& w : kernel) w /= ksum;
 
+  // Each tap k is accumulated across a whole row, so the inner loops are
+  // unit-stride; every output still sums k = -radius..radius in order,
+  // exactly as a per-pixel loop over at_clamped would.
+  const std::size_t taps = kernel.size();
+  const std::size_t pad = static_cast<std::size_t>(radius);
   Grid2D tmp(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) {
-      float acc = 0.0f;
-      for (int k = -radius; k <= radius; ++k)
-        acc += kernel[static_cast<std::size_t>(k + radius)] *
-               at_clamped(static_cast<long>(r), static_cast<long>(c) + k);
-      tmp.at(r, c) = acc;
+  std::vector<float> padded(cols_ + 2 * pad);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const float* src = data_.data() + r * cols_;
+    for (std::size_t j = 0; j < padded.size(); ++j)
+      padded[j] = src[std::clamp<std::size_t>(j, pad, pad + cols_ - 1) - pad];
+    float* dst = tmp.data_.data() + r * cols_;
+    for (std::size_t k = 0; k < taps; ++k) {
+      const float w = kernel[k];
+      const float* in = padded.data() + k;
+      for (std::size_t c = 0; c < cols_; ++c) dst[c] += w * in[c];
     }
+  }
   Grid2D out(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) {
-      float acc = 0.0f;
-      for (int k = -radius; k <= radius; ++k)
-        acc += kernel[static_cast<std::size_t>(k + radius)] *
-               tmp.at_clamped(static_cast<long>(r) + k, static_cast<long>(c));
-      out.at(r, c) = acc;
+  const long last_row = static_cast<long>(rows_) - 1;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    float* dst = out.data_.data() + r * cols_;
+    for (std::size_t k = 0; k < taps; ++k) {
+      const float w = kernel[k];
+      const long src_row = std::clamp<long>(
+          static_cast<long>(r + k) - radius, 0, last_row);
+      const float* in = tmp.data_.data() + static_cast<std::size_t>(src_row) * cols_;
+      for (std::size_t c = 0; c < cols_; ++c) dst[c] += w * in[c];
     }
+  }
   return out;
 }
 

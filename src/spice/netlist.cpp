@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace lmmir::spice {
@@ -18,44 +19,72 @@ void Netlist::touch() {
   revision_ = 1 + g_netlist_revision.fetch_add(1, std::memory_order_relaxed);
 }
 
-NodeId Netlist::intern_node(const std::string& raw_name) {
+std::size_t Netlist::probe(std::string_view raw_name,
+                           std::size_t hash) const {
+  const std::size_t mask = node_index_.size() - 1;
+  for (std::size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const NodeId id = node_index_[slot];
+    if (id == kGroundNode) return slot;
+    const auto i = static_cast<std::size_t>(id);
+    if (node_hashes_[i] == hash && nodes_[i].raw_name == raw_name) return slot;
+  }
+}
+
+void Netlist::grow_index() {
+  const std::size_t size = node_index_.empty() ? 16 : 2 * node_index_.size();
+  node_index_.assign(size, kGroundNode);
+  const std::size_t mask = size - 1;
+  for (std::size_t i = 0; i < node_hashes_.size(); ++i) {
+    std::size_t slot = node_hashes_[i] & mask;
+    while (node_index_[slot] != kGroundNode) slot = (slot + 1) & mask;
+    node_index_[slot] = static_cast<NodeId>(i);
+  }
+}
+
+NodeId Netlist::intern_node(std::string_view raw_name) {
   if (is_ground(raw_name)) return kGroundNode;
-  auto it = node_index_.find(raw_name);
-  if (it != node_index_.end()) return it->second;
+  if (2 * (nodes_.size() + 1) > node_index_.size()) grow_index();
+  const std::size_t hash = std::hash<std::string_view>{}(raw_name);
+  const std::size_t slot = probe(raw_name, hash);
+  if (node_index_[slot] != kGroundNode) return node_index_[slot];
   touch();
-  Node n;
+  Node& n = nodes_.emplace_back();
   n.raw_name = raw_name;
   NodeName parsed;
   if (parse_node_name(raw_name, parsed)) n.parsed = parsed;
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back(std::move(n));
-  node_index_.emplace(raw_name, id);
+  const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
+  node_hashes_.push_back(hash);
+  node_index_[slot] = id;
   return id;
 }
 
-std::optional<NodeId> Netlist::find_node(const std::string& raw_name) const {
+std::optional<NodeId> Netlist::find_node(std::string_view raw_name) const {
   if (is_ground(raw_name)) return kGroundNode;
-  auto it = node_index_.find(raw_name);
-  if (it == node_index_.end()) return std::nullopt;
-  return it->second;
+  if (node_index_.empty()) return std::nullopt;
+  const NodeId id =
+      node_index_[probe(raw_name, std::hash<std::string_view>{}(raw_name))];
+  if (id == kGroundNode) return std::nullopt;
+  return id;
 }
 
-void Netlist::add_resistor(const std::string& name, NodeId a, NodeId b,
+void Netlist::add_resistor(std::string_view name, NodeId a, NodeId b,
                            double ohms) {
   touch();
-  elements_.push_back({ElementType::Resistor, name, a, b, ohms});
+  elements_.push_back({ElementType::Resistor, std::string(name), a, b, ohms});
 }
 
-void Netlist::add_current_source(const std::string& name, NodeId from,
+void Netlist::add_current_source(std::string_view name, NodeId from,
                                  NodeId to, double amps) {
   touch();
-  elements_.push_back({ElementType::CurrentSource, name, from, to, amps});
+  elements_.push_back(
+      {ElementType::CurrentSource, std::string(name), from, to, amps});
 }
 
-void Netlist::add_voltage_source(const std::string& name, NodeId plus,
+void Netlist::add_voltage_source(std::string_view name, NodeId plus,
                                  NodeId minus, double volts) {
   touch();
-  elements_.push_back({ElementType::VoltageSource, name, plus, minus, volts});
+  elements_.push_back(
+      {ElementType::VoltageSource, std::string(name), plus, minus, volts});
 }
 
 void Netlist::set_element_value(std::size_t element_index, double value) {
@@ -119,13 +148,10 @@ std::size_t Netlist::resident_bytes() const {
   for (const auto& e : elements_) bytes += e.name.capacity();
   bytes += nodes_.capacity() * sizeof(Node);
   for (const auto& n : nodes_) bytes += n.raw_name.capacity();
-  // Hash map: one bucket pointer per bucket plus a node (key copy + id +
-  // chain link) per entry — the dominant unordered_map costs.
-  bytes += node_index_.bucket_count() * sizeof(void*);
-  for (const auto& [name, id] : node_index_) {
-    (void)id;
-    bytes += name.capacity() + sizeof(NodeId) + 2 * sizeof(void*);
-  }
+  // Node index: the id slots plus one cached hash per node.  It holds no
+  // name copies.
+  bytes += node_index_.capacity() * sizeof(NodeId);
+  bytes += node_hashes_.capacity() * sizeof(std::size_t);
   return bytes;
 }
 

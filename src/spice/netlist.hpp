@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "spice/node_name.hpp"
@@ -45,16 +45,17 @@ class Netlist {
   /// skip re-validating a netlist they have already seen.
   std::uint64_t revision() const { return revision_; }
 
-  /// Intern a node by raw name; returns kGroundNode for "0".
-  NodeId intern_node(const std::string& raw_name);
+  /// Intern a node by raw name; returns kGroundNode for "0".  Ids are
+  /// dense and follow first-interning order.
+  NodeId intern_node(std::string_view raw_name);
 
   /// Look up an interned node id; returns nullopt if never interned.
-  std::optional<NodeId> find_node(const std::string& raw_name) const;
+  std::optional<NodeId> find_node(std::string_view raw_name) const;
 
-  void add_resistor(const std::string& name, NodeId a, NodeId b, double ohms);
-  void add_current_source(const std::string& name, NodeId from, NodeId to,
+  void add_resistor(std::string_view name, NodeId a, NodeId b, double ohms);
+  void add_current_source(std::string_view name, NodeId from, NodeId to,
                           double amps);
-  void add_voltage_source(const std::string& name, NodeId plus, NodeId minus,
+  void add_voltage_source(std::string_view name, NodeId plus, NodeId minus,
                           double volts);
 
   /// Replace an element's value (PDN optimization: wire upsizing rewrites
@@ -91,16 +92,27 @@ class Netlist {
   PixelShape pixel_shape() const;
 
   /// Estimated heap footprint of this netlist (elements, interned nodes,
-  /// name strings, index buckets).  An accounting estimate for cache
-  /// memory budgets (serve::SessionServer), not an allocator-exact count.
+  /// name strings, the node-index slots and the per-node hashes).  An
+  /// accounting estimate for cache memory budgets (serve::SessionServer),
+  /// not an allocator-exact count.
   std::size_t resident_bytes() const;
 
  private:
   void touch();  // stamp a fresh process-unique revision
+  // Slot of `raw_name` in node_index_: the slot holding its id, or the
+  // empty slot where it would go.  node_index_ must be non-empty.
+  std::size_t probe(std::string_view raw_name, std::size_t hash) const;
+  void grow_index();
 
   std::vector<Element> elements_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, NodeId> node_index_;
+  // Node index: open addressing with linear probing over a power-of-two
+  // table of ids (kGroundNode marks an empty slot), kept at most half
+  // full.  node_hashes_[id] caches the hash of nodes_[id].raw_name, so a
+  // probe compares names only on a hash match and growth never rehashes a
+  // string; names live once, in nodes_.
+  std::vector<NodeId> node_index_;
+  std::vector<std::size_t> node_hashes_;
   std::uint64_t revision_ = 0;  // 0 = pristine empty netlist
 };
 

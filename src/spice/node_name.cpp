@@ -9,12 +9,19 @@ std::string NodeName::to_string() const {
          std::to_string(x) + "_" + std::to_string(y);
 }
 
-bool is_ground(const std::string& name) { return name == "0"; }
+bool is_ground(std::string_view name) { return name == "0"; }
 
-bool parse_node_name(const std::string& name, NodeName& out) {
-  // Expected shape: n<digits>_m<digits>_<digits>_<digits>
-  const auto parts = util::split(name, '_');
-  if (parts.size() != 4) return false;
+bool parse_node_name(std::string_view name, NodeName& out) {
+  // Expected shape: n<digits>_m<digits>_<digits>_<digits>.  A fourth '_'
+  // stays in the last field, which then fails to parse as a number.
+  std::string_view parts[4];
+  for (int i = 0; i < 3; ++i) {
+    const std::size_t sep = name.find('_');
+    if (sep == std::string_view::npos) return false;
+    parts[i] = name.substr(0, sep);
+    name.remove_prefix(sep + 1);
+  }
+  parts[3] = name;
   if (parts[0].size() < 2 || (parts[0][0] != 'n' && parts[0][0] != 'N'))
     return false;
   if (parts[1].size() < 2 || (parts[1][0] != 'm' && parts[1][0] != 'M'))

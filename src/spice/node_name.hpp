@@ -6,6 +6,7 @@
 // The ground node is the literal "0".
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace lmmir::spice {
 
@@ -24,10 +25,10 @@ struct NodeName {
 };
 
 /// True for the ground node spelling "0".
-bool is_ground(const std::string& name);
+bool is_ground(std::string_view name);
 
 /// Parse "n<net>_m<layer>_<x>_<y>". Returns false (and leaves `out`
 /// unspecified) when the string is not a well-formed node name.
-bool parse_node_name(const std::string& name, NodeName& out);
+bool parse_node_name(std::string_view name, NodeName& out);
 
 }  // namespace lmmir::spice

@@ -9,8 +9,13 @@
 // ".title", ".end", ".op" (all ignored).  Element letters are
 // case-insensitive; values accept SPICE engineering suffixes
 // (f p n u m k meg g t) and plain scientific notation.
-#include <istream>
+//
+// There is one parse path: a single pass over a caller-owned buffer.
+// Lines end at '\n'; whitespace is what std::isspace accepts in the "C"
+// locale.  Tokens are views into the buffer, so a line costs no
+// allocation beyond the element and node names the netlist keeps.
 #include <string>
+#include <string_view>
 
 #include "spice/netlist.hpp"
 
@@ -25,15 +30,14 @@ struct ParseStats {
 
 /// Parse a numeric literal with optional SPICE engineering suffix.
 /// Returns false on malformed input, including non-finite results.
-bool parse_spice_value(const std::string& token, double& out);
+bool parse_spice_value(std::string_view token, double& out);
 
 /// Parse netlist text. Throws std::runtime_error with a line number on
-/// malformed element lines.
-Netlist parse_netlist_string(const std::string& text,
+/// malformed element lines; `stats` is written only on success.
+Netlist parse_netlist_string(std::string_view text,
                              ParseStats* stats = nullptr);
 
-/// Parse from a stream / file.
-Netlist parse_netlist_stream(std::istream& in, ParseStats* stats = nullptr);
+/// Read the whole file, then parse it as parse_netlist_string does.
 Netlist parse_netlist_file(const std::string& path,
                            ParseStats* stats = nullptr);
 

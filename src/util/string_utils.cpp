@@ -1,6 +1,5 @@
 #include "util/string_utils.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -10,22 +9,9 @@ namespace lmmir::util {
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
-}
-
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t j = i;
-    while (j < s.size() && !std::isspace(static_cast<unsigned char>(s[j]))) ++j;
-    if (j > i) out.emplace_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
 }
 
 std::vector<std::string> split(std::string_view s, char delim) {
@@ -38,16 +24,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
     }
   }
   return out;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (auto& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 bool parse_double(std::string_view s, double& out) {

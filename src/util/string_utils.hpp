@@ -6,19 +6,16 @@
 
 namespace lmmir::util {
 
-/// Strip leading/trailing whitespace.
-std::string_view trim(std::string_view s);
+/// std::isspace of the "C" locale (space, \t \n \v \f \r), inline.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
 
-/// Split on any run of whitespace; empty tokens are dropped.
-std::vector<std::string> split_ws(std::string_view s);
+/// Strip leading/trailing whitespace (is_space).
+std::string_view trim(std::string_view s);
 
 /// Split on a single-character delimiter; empty tokens are kept.
 std::vector<std::string> split(std::string_view s, char delim);
-
-/// ASCII lower-case copy.
-std::string to_lower(std::string_view s);
-
-bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Parse a double; returns false on malformed input instead of throwing.
 bool parse_double(std::string_view s, double& out);

@@ -1,7 +1,12 @@
 // grid::Grid2D: geometry ops, resampling, normalization, stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "grid/grid2d.hpp"
 
@@ -92,6 +97,62 @@ TEST(Grid, BlurPreservesMassApproximately) {
   Grid2D b = g.blurred(1.0f);
   EXPECT_NEAR(b.sum(), 100.0f, 1.0f);  // interior impulse: mass preserved
   EXPECT_LT(b.max(), 100.0f);          // and spread out
+}
+
+// Grid2D::blurred as a per-pixel loop over at_clamped: the order of
+// operations the row-wise implementation must reproduce bit for bit.
+Grid2D reference_blurred(const Grid2D& g, float sigma) {
+  if (sigma <= 0.0f) return g;
+  const int radius = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
+  std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
+  float ksum = 0.0f;
+  for (int i = -radius; i <= radius; ++i) {
+    const float w = std::exp(-0.5f * static_cast<float>(i * i) / (sigma * sigma));
+    kernel[static_cast<std::size_t>(i + radius)] = w;
+    ksum += w;
+  }
+  for (auto& w : kernel) w /= ksum;
+
+  Grid2D tmp(g.rows(), g.cols());
+  for (std::size_t r = 0; r < g.rows(); ++r)
+    for (std::size_t c = 0; c < g.cols(); ++c) {
+      float acc = 0.0f;
+      for (int k = -radius; k <= radius; ++k)
+        acc += kernel[static_cast<std::size_t>(k + radius)] *
+               g.at_clamped(static_cast<long>(r), static_cast<long>(c) + k);
+      tmp.at(r, c) = acc;
+    }
+  Grid2D out(g.rows(), g.cols());
+  for (std::size_t r = 0; r < g.rows(); ++r)
+    for (std::size_t c = 0; c < g.cols(); ++c) {
+      float acc = 0.0f;
+      for (int k = -radius; k <= radius; ++k)
+        acc += kernel[static_cast<std::size_t>(k + radius)] *
+               tmp.at_clamped(static_cast<long>(r) + k, static_cast<long>(c));
+      out.at(r, c) = acc;
+    }
+  return out;
+}
+
+TEST(Grid, BlurMatchesReferenceBitwise) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {209, 209}, {45, 57}, {5, 3}, {1, 1}, {9, 9}, {300, 17}};
+  std::mt19937 gen(0xB1u);
+  std::uniform_real_distribution<float> value(-1.0f, 4.0f);
+  for (const auto& [rows, cols] : shapes)
+    for (float sigma : {0.4f, 1.0f, 2.5f, 6.53f}) {
+      Grid2D g(rows, cols);
+      for (auto& v : g.data()) v = value(gen);
+      g.at(rows / 2, cols / 2) = 1e3f;  // one spike far above the rest
+      const Grid2D got = g.blurred(sigma);
+      const Grid2D want = reference_blurred(g, sigma);
+      ASSERT_EQ(got.rows(), rows);
+      ASSERT_EQ(got.cols(), cols);
+      EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            want.size() * sizeof(float)),
+                0)
+          << rows << "x" << cols << " sigma " << sigma;
+    }
 }
 
 TEST(Grid, DownsampleAverage) {

@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "spice/parser.hpp"
 #include "spice/writer.hpp"
@@ -238,6 +239,58 @@ TEST(Netlist, InternDeduplicates) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(nl.intern_node("0"), kGroundNode);
   EXPECT_EQ(nl.node_count(), 1u);
+}
+
+TEST(Netlist, InternAndFindAcrossIndexGrowth) {
+  // 1500 names take the index through seven doublings; ids stay dense and
+  // in first-interning order, and every earlier name stays findable.
+  Netlist nl;
+  EXPECT_FALSE(nl.find_node("n1_m1_0_0").has_value());  // empty index
+  std::vector<std::string> names;
+  for (int i = 0; i < 1500; ++i)
+    names.push_back(i % 3 == 0 ? "free_" + std::to_string(i)
+                               : NodeName{1, 1 + i % 4, 1000 * i, 7 * i}.to_string());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(nl.intern_node(names[i]), static_cast<NodeId>(i));
+    ASSERT_EQ(nl.node_count(), i + 1);
+    if ((i & (i - 1)) == 0) {  // after each power of two, re-check all so far
+      for (std::size_t j = 0; j <= i; ++j)
+        ASSERT_EQ(nl.find_node(names[j]), static_cast<NodeId>(j)) << names[j];
+    }
+  }
+  const std::uint64_t revision = nl.revision();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(nl.intern_node(names[i]), static_cast<NodeId>(i));
+    EXPECT_EQ(nl.node(static_cast<NodeId>(i)).raw_name, names[i]);
+    EXPECT_EQ(nl.node(static_cast<NodeId>(i)).parsed.has_value(), i % 3 != 0);
+  }
+  EXPECT_EQ(nl.node_count(), names.size());
+  EXPECT_EQ(nl.revision(), revision);  // re-interning changes nothing
+  EXPECT_EQ(nl.intern_node("0"), kGroundNode);
+  EXPECT_EQ(nl.find_node("0"), kGroundNode);
+  EXPECT_EQ(nl.node_count(), names.size());
+  for (const char* absent : {"", "00", "free_1", "free_1500", "n1_m1_0_1",
+                             "n1_m2_1000_7 ", "N1_M2_1000_7"})
+    EXPECT_FALSE(nl.find_node(absent).has_value()) << absent;
+}
+
+TEST(Netlist, CopyInternsWithoutChangingOriginal) {
+  Netlist original;
+  for (int i = 0; i < 40; ++i)
+    original.intern_node(NodeName{1, 1, 1000 * i, 0}.to_string());
+  Netlist copy = original;
+  for (int i = 0; i < 200; ++i)  // grows the copy's index past the original's
+    EXPECT_EQ(copy.intern_node("extra_" + std::to_string(i)),
+              static_cast<NodeId>(40 + i));
+  EXPECT_EQ(original.node_count(), 40u);
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = NodeName{1, 1, 1000 * i, 0}.to_string();
+    EXPECT_EQ(original.find_node(name), static_cast<NodeId>(i));
+    EXPECT_EQ(copy.find_node(name), static_cast<NodeId>(i));
+  }
+  EXPECT_FALSE(original.find_node("extra_0").has_value());
+  EXPECT_EQ(copy.find_node("extra_199"), static_cast<NodeId>(239));
+  EXPECT_LT(original.resident_bytes(), copy.resident_bytes());
 }
 
 TEST(Netlist, BoundsOverParsedNodes) {

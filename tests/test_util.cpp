@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 
@@ -21,14 +22,9 @@ TEST(StringUtils, Trim) {
   EXPECT_EQ(trim(""), "");
   EXPECT_EQ(trim(" \t\n "), "");
   EXPECT_EQ(trim("x"), "x");
-}
-
-TEST(StringUtils, SplitWhitespace) {
-  const auto t = split_ws("  R1  n1   n2\t0.5 ");
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[0], "R1");
-  EXPECT_EQ(t[3], "0.5");
-  EXPECT_TRUE(split_ws("   ").empty());
+  EXPECT_EQ(trim("\v\f\rx\r\n"), "x");
+  for (int c = 0; c < 256; ++c)  // the "C" locale's std::isspace
+    EXPECT_EQ(is_space(static_cast<char>(c)), std::isspace(c) != 0) << c;
 }
 
 TEST(StringUtils, SplitDelimiterKeepsEmpty) {
